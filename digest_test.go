@@ -1,0 +1,133 @@
+package horus
+
+import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"flag"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"strconv"
+	"testing"
+
+	"repro/internal/sim"
+)
+
+// Regenerate the digest after an intentional change to simulated output:
+//
+//	go test -run TestResultDigestGolden -update .
+//
+// and explain the change where the commit is described.
+var update = flag.Bool("update", false, "rewrite golden files with the current output")
+
+const digestGolden = "testdata/digest.golden"
+
+// TestResultDigestGolden pins the simulated output at test scale against a
+// committed digest rather than against a second run of the same code: for
+// every scheme, the drain's Result counters, drain time, energy, a hash of
+// the persistent registers, a hash of the sorted NVM image and the outcome
+// of crash + recovery; plus a hash of a strided crash-matrix cell table.
+// Any refactor that changes a simulated byte fails here.
+func TestResultDigestGolden(t *testing.T) {
+	var b bytes.Buffer
+	for _, scheme := range AllSchemes() {
+		b.WriteString(schemeDigest(t, scheme))
+		b.WriteByte('\n')
+	}
+	rep, err := RunTortureMatrix(context.Background(),
+		TortureConfig{Config: TestConfig(), Stride: 7}, SweepOptions{Parallel: 2})
+	if err != nil {
+		t.Fatalf("torture matrix: %v", err)
+	}
+	fmt.Fprintf(&b, "torture stride=7 cells=%d table=%s\n", len(rep.Cells), digestOf([]byte(rep.CellTable().String())))
+
+	got := b.Bytes()
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(digestGolden), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(digestGolden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(digestGolden)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update to create): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("simulated output differs from %s (rerun with -update if intentional)\n--- got ---\n%s--- want ---\n%s",
+			digestGolden, got, want)
+	}
+}
+
+// schemeDigest runs one warmup/fill/drain/crash/recover episode at
+// TestConfig and renders its observable output as one line.
+func schemeDigest(t *testing.T, scheme Scheme) string {
+	t.Helper()
+	cfg := TestConfig()
+	sys := NewSystem(cfg, scheme)
+	if err := sys.Warmup(); err != nil {
+		t.Fatalf("%v: warmup: %v", scheme, err)
+	}
+	sys.Fill()
+	res, err := sys.Drain()
+	if err != nil {
+		t.Fatalf("%v: drain: %v", scheme, err)
+	}
+
+	store := sys.Core.NVM.Store()
+	addrs := store.AddressesInRange(0, math.MaxUint64)
+	h := sha256.New()
+	for _, a := range addrs {
+		blk := store.ReadBlock(a)
+		h.Write(binary.LittleEndian.AppendUint64(nil, a))
+		h.Write(blk[:])
+	}
+	e := cfg.EnergyOf(res)
+	line := fmt.Sprintf("%v drain_ps=%d blocks=%d aes=%d reads=[%v] writes=[%v] macs=[%v] energy_j=%s/%s/%s persist=%s nvm=%d:%x",
+		scheme, int64(res.DrainTime), res.BlocksDrained, res.AESOps,
+		res.MemReads, res.MemWrites, res.MACCalcs,
+		fmtFloat(e.ProcessorJ), fmtFloat(e.NVMWriteJ), fmtFloat(e.NVMReadJ),
+		digestOf([]byte(fmt.Sprintf("%+v", res.Persist))), len(addrs), h.Sum(nil)[:8])
+
+	sys.Crash()
+	rec, err := sys.Recover(res.Persist)
+	if err != nil {
+		return line + " recover=" + err.Error()
+	}
+	line += fmt.Sprintf(" recover=ok recover_ps=%d", int64(rec.Time()))
+	if rec.Baseline != nil {
+		line += fmt.Sprintf(" vault_lines=%d vault_reads=%d vault_macs=%d",
+			rec.Baseline.LinesRestored, total(rec.Baseline.MemReads), rec.Baseline.MACCalcs)
+	}
+	if rec.Horus != nil {
+		var blocks bytes.Buffer
+		for _, d := range rec.Horus.Blocks {
+			blocks.Write(binary.LittleEndian.AppendUint64(nil, d.Addr))
+			blocks.Write(d.Data[:])
+		}
+		line += fmt.Sprintf(" chv_blocks=%d chv_reads=%d chv_macs=%d chv_data=%s",
+			len(rec.Horus.Blocks), total(rec.Horus.MemReads), rec.Horus.MACCalcs, digestOf(blocks.Bytes()))
+	}
+	return line
+}
+
+// total is CounterSet.Total for a set a path may leave nil.
+func total(cs *sim.CounterSet) int64 {
+	if cs == nil {
+		return 0
+	}
+	return cs.Total()
+}
+
+func digestOf(b []byte) string {
+	sum := sha256.Sum256(b)
+	return fmt.Sprintf("%x", sum[:8])
+}
+
+// fmtFloat renders a float exactly (shortest round-trip form).
+func fmtFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
