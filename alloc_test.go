@@ -1,0 +1,52 @@
+package horus
+
+import (
+	"runtime"
+	"runtime/debug"
+	"sort"
+	"testing"
+)
+
+// TestDrainAllocsIndependentOfGOMAXPROCS pins that a drain's allocation
+// count is a property of the code, not of the host's core count: allocs/op
+// of RunDrain at GOMAXPROCS 1 and 2 agree within 1%. Mallocs deltas are
+// read from runtime.MemStats directly because testing.AllocsPerRun forces
+// GOMAXPROCS to 1.
+func TestDrainAllocsIndependentOfGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, scheme := range []Scheme{BaseLU, HorusSLM} {
+		one := drainAllocs(t, scheme, 1)
+		two := drainAllocs(t, scheme, 2)
+		if diff := two - one; diff > one/100 || -diff > one/100 {
+			t.Errorf("%v: %.1f allocs/op at GOMAXPROCS=1 but %.1f at GOMAXPROCS=2", scheme, one, two)
+		}
+	}
+}
+
+// drainAllocs returns the median heap allocations of one RunDrain at
+// TestConfig under the given GOMAXPROCS, over five runs after a warm-up.
+// The collector is off while measuring: a GC inside a run empties the
+// sync.Pool caches and adds refill allocations that have nothing to do with
+// the code under test. The median drops the odd run that migrates to a P
+// with a cold pool.
+func drainAllocs(t *testing.T, scheme Scheme, procs int) float64 {
+	t.Helper()
+	runtime.GOMAXPROCS(procs)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	drain := func() {
+		if _, err := RunDrain(TestConfig(), scheme); err != nil {
+			t.Fatalf("%v: %v", scheme, err)
+		}
+	}
+	drain()
+	counts := make([]float64, 5)
+	for i := range counts {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		drain()
+		runtime.ReadMemStats(&after)
+		counts[i] = float64(after.Mallocs - before.Mallocs)
+	}
+	sort.Float64s(counts)
+	return counts[len(counts)/2]
+}

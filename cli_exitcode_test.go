@@ -17,7 +17,7 @@ var cliBinaries = sync.OnceValues(func() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	for _, name := range []string{"horus-drain", "horus-torture", "horus-litmus", "horus-fleet"} {
+	for _, name := range []string{"horus-drain", "horus-torture", "horus-litmus", "horus-fleet", "horus-perfbench"} {
 		cmd := exec.Command("go", "build", "-o", filepath.Join(dir, name), "./cmd/"+name)
 		if out, err := cmd.CombinedOutput(); err != nil {
 			return "", &buildError{name: name, out: string(out), err: err}
@@ -77,6 +77,10 @@ func TestCLIExitCodeContract(t *testing.T) {
 				"-outages", "1ms:2ms:all", "-storm-slo", "1ns"}, 2},
 		{"fleet bad schedule", "horus-fleet",
 			[]string{"-outages", "bogus"}, 1},
+		{"perfbench non-positive reps", "horus-perfbench",
+			[]string{"-reps", "-3", "-out", ""}, 1},
+		{"perfbench warn above fail", "horus-perfbench",
+			[]string{"-warn", "0.5", "-fail", "0.3", "-out", ""}, 1},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -42,7 +42,6 @@ func main() {
 	tf := cliutil.AddTraceFlags()
 	pf := cliutil.AddProfileFlags()
 	tfl := cliutil.AddTelemetryFlags(false)
-	shards := cliutil.AddShardsFlag()
 	flag.Parse()
 	if err := pf.Start(); err != nil {
 		fatal(err)
@@ -55,7 +54,6 @@ func main() {
 	}
 	cfg.Seed = *seed
 	cfg.FlushShuffle = *shuffle
-	cfg.Shards = *shards
 	if *llcMB > 0 {
 		cfg.LLCBytes = *llcMB << 20
 	}

@@ -37,7 +37,6 @@ func main() {
 	tf := cliutil.AddTraceFlags()
 	pf := cliutil.AddProfileFlags()
 	tfl := cliutil.AddTelemetryFlags(true)
-	shards := cliutil.AddShardsFlag()
 	flag.Parse()
 	emitCSVTo = *csvDir
 	if err := pf.Start(); err != nil {
@@ -58,7 +57,6 @@ func main() {
 		fatal(fmt.Errorf("unknown scale %q", *scaleFlag))
 	}
 	cfg.Seed = *seed
-	cfg.Shards = *shards
 	cfg.Metrics = tfl.EnsureRegistry(mf.Registry())
 	cfg.Timeline = tf.Recorder()
 	cfg.Timeseries = tfl.Sampler()

@@ -64,7 +64,6 @@ func main() {
 	mf := cliutil.AddMetricsFlags()
 	pf := cliutil.AddProfileFlags()
 	tfl := cliutil.AddTelemetryFlags(true)
-	shards := cliutil.AddShardsFlag()
 	flag.Parse()
 	if err := pf.Start(); err != nil {
 		fatal(err)
@@ -79,7 +78,6 @@ func main() {
 		fatal(err)
 	}
 	cfg.Seed = *seed
-	cfg.Shards = *shards
 	cfg.Metrics = tfl.EnsureRegistry(mf.Registry())
 	cfg.Timeseries = tfl.Sampler()
 	if cfg.Timeseries == nil {

@@ -38,11 +38,16 @@ func main() {
 		list     = flag.Bool("list", false, "list benchmark names and exit")
 	)
 	tfl := cliutil.AddTelemetryFlags(true)
-	shards := cliutil.AddShardsFlag()
 	flag.Parse()
+	if *reps < 1 {
+		fatal(fmt.Errorf("bad -reps %d (want >= 1)", *reps))
+	}
+	if *warn < 0 || *warn > *failAt {
+		fatal(fmt.Errorf("bad -warn %g with -fail %g (want 0 <= warn <= fail)", *warn, *failAt))
+	}
 
 	var suite perfbench.Suite
-	horus.RegisterPerfBenchmarks(&suite, func(c *horus.Config) { c.Shards = *shards })
+	horus.RegisterPerfBenchmarks(&suite)
 
 	if *list {
 		for _, name := range suite.Names() {

@@ -36,7 +36,6 @@ func main() {
 	mf := cliutil.AddMetricsFlags()
 	pf := cliutil.AddProfileFlags()
 	tfl := cliutil.AddTelemetryFlags(false)
-	shards := cliutil.AddShardsFlag()
 	flag.Parse()
 	if err := pf.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, "horus-plan:", err)
@@ -48,7 +47,6 @@ func main() {
 	cfg.LLCBytes = *llcMB << 20
 	cfg.DataSize = uint64(*memGB) << 30
 	cfg.Mem.Banks = *banks
-	cfg.Shards = *shards
 	cfg.Metrics = tfl.EnsureRegistry(mf.Registry())
 	cfg.Timeseries = tfl.Sampler()
 	if err := tfl.StartServer(cfg.Metrics); err != nil {

@@ -31,7 +31,6 @@ func main() {
 	mf := cliutil.AddMetricsFlags()
 	pf := cliutil.AddProfileFlags()
 	tfl := cliutil.AddTelemetryFlags(false)
-	shards := cliutil.AddShardsFlag()
 	tf := cliutil.AddTraceFlags()
 	ff := cliutil.AddForensicFlags()
 	flag.Parse()
@@ -45,7 +44,6 @@ func main() {
 		cfg = horus.DefaultConfig()
 	}
 	cfg.Seed = *seed
-	cfg.Shards = *shards
 	cfg.Metrics = tfl.EnsureRegistry(mf.Registry())
 	cfg.Timeseries = tfl.Sampler()
 	cfg.Timeline = tf.Recorder()

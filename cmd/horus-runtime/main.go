@@ -36,7 +36,6 @@ func main() {
 	tf := cliutil.AddTraceFlags()
 	pf := cliutil.AddProfileFlags()
 	tfl := cliutil.AddTelemetryFlags(false)
-	shards := cliutil.AddShardsFlag()
 	flag.Parse()
 	if err := pf.Start(); err != nil {
 		fatal(err)
@@ -44,7 +43,6 @@ func main() {
 	defer pf.Stop()
 
 	cfg := horus.TestConfig()
-	cfg.Shards = *shards
 	cfg.Metrics = tfl.EnsureRegistry(mf.Registry())
 	cfg.Timeline = tf.Recorder()
 	cfg.Timeseries = tfl.Sampler()

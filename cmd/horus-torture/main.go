@@ -44,7 +44,6 @@ func main() {
 	mf := cliutil.AddMetricsFlags()
 	pf := cliutil.AddProfileFlags()
 	tfl := cliutil.AddTelemetryFlags(true)
-	shards := cliutil.AddShardsFlag()
 	flag.Parse()
 	if err := pf.Start(); err != nil {
 		fatal(err)
@@ -59,7 +58,6 @@ func main() {
 		fatal(err)
 	}
 	cfg.Seed = *seed
-	cfg.Shards = *shards
 	cfg.Metrics = tfl.EnsureRegistry(mf.Registry())
 	cfg.Timeseries = tfl.Sampler()
 	if cfg.Timeseries == nil {

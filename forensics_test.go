@@ -12,10 +12,9 @@ import (
 
 // recoverTraced drains and recovers one scheme with a timeline recorder and
 // flight recorder attached, returning the system, drain result and report.
-func recoverTraced(t *testing.T, scheme Scheme, shards int) (*System, Result, RecoveryReport) {
+func recoverTraced(t *testing.T, scheme Scheme) (*System, Result, RecoveryReport) {
 	t.Helper()
 	cfg := TestConfig()
-	cfg.Shards = shards
 	cfg.Timeline = NewTimelineRecorder(0)
 	cfg.Evlog = NewEvlog(0)
 	cfg.Metrics = NewMetricsRegistry()
@@ -46,7 +45,7 @@ func TestRecoveryAttributionTilesRecoveryTime(t *testing.T) {
 			continue
 		}
 		t.Run(scheme.String(), func(t *testing.T) {
-			_, _, rec := recoverTraced(t, scheme, 0)
+			_, _, rec := recoverTraced(t, scheme)
 			recs := rec.Timelines()
 			if len(recs) == 0 {
 				// Eager baselines flush metadata in place: an empty vault
@@ -338,50 +337,6 @@ func TestForensicParallelDeterminism(t *testing.T) {
 	if !strings.Contains(seqMet, "horus_recovery_detect_latency_blocks") ||
 		!strings.Contains(seqMet, "horus_recovery_detect_latency_ps") {
 		t.Error("bit-flip matrix recorded no detection-latency histograms")
-	}
-}
-
-// Sharded drains must not leak into the forensic record: the refused
-// recovery's chain JSONL and the clean recovery's attribution table are
-// byte-identical at any -shards.
-func TestForensicShardDeterminism(t *testing.T) {
-	chain := func(shards int) string {
-		cfg := TestConfig()
-		cfg.Shards = shards
-		cfg.Evlog = NewEvlog(0)
-		sys := NewSystem(cfg, HorusDLM)
-		if err := sys.Warmup(); err != nil {
-			t.Fatal(err)
-		}
-		sys.Fill()
-		res, err := sys.Drain()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sys.Crash()
-		spliceCHV(sys)
-		_, err = sys.Recover(res.Persist)
-		if err == nil {
-			t.Fatal("spliced CHV must refuse recovery")
-		}
-		f := ForensicFromError(err, "recovery")
-		var b strings.Builder
-		if err := WriteEvlogJSONL(&b, f.Chain...); err != nil {
-			t.Fatal(err)
-		}
-		return b.String()
-	}
-	if one, eight := chain(1), chain(8); one != eight {
-		t.Errorf("forensic chain differs between -shards 1 and 8:\n--- shards=1\n%s\n--- shards=8\n%s", one, eight)
-	}
-
-	attrib := func(shards int) string {
-		_, _, rec := recoverTraced(t, HorusDLM, shards)
-		return report.AttributionTableTitled("Recovery critical path by binding resource",
-			"(recovery time)", rec.Attributions()...).String()
-	}
-	if one, eight := attrib(1), attrib(8); one != eight {
-		t.Errorf("recovery attribution differs between -shards 1 and 8:\n--- shards=1\n%s\n--- shards=8\n%s", one, eight)
 	}
 }
 

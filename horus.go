@@ -198,13 +198,6 @@ type Config struct {
 	// BatteryBudgetJoules). It enables the horus_ts_energy_budget_frac
 	// series and the drain SLO rules.
 	BatteryJoules float64
-	// Shards is the drain pipeline's crypto fan-out width: shard-owned
-	// engine clones precompute OTPs and MACs over per-bank work lists
-	// while the timed state machine replays serially, so results, traces
-	// and time series are byte-identical at any value (DESIGN.md §13).
-	// Zero or negative selects GOMAXPROCS; 1 forces the inline serial
-	// path. Exposed on every CLI as -shards.
-	Shards int
 }
 
 // DefaultConfig returns the paper's Table I configuration at full scale:
@@ -300,7 +293,6 @@ func newCoreSystem(cfg Config, scheme Scheme, withSec bool, labels ...string) (*
 		Metrics: cfg.Metrics, Timeline: cfg.Timeline,
 		Timeseries: cfg.Timeseries, Evlog: cfg.Evlog,
 		Energy: cfg.Energy, BatteryJoules: cfg.BatteryJoules,
-		Shards: cfg.Shards,
 	}
 	nvm.SetMetrics(cfg.Metrics, labels...)
 	nvm.SetTimeline(cfg.Timeline)

@@ -18,11 +18,9 @@ type MAC [MACSize]byte
 // and MAC computation. One engine corresponds to one processor's secure
 // memory unit; keys never leave the trusted compute base.
 //
-// An Engine is a shard-owned context: OTP reuses per-engine scratch buffers
-// (see below), so one Engine must only ever be driven from one goroutine at
-// a time. Concurrency uses Clone — same keys, fresh scratch — one clone per
-// shard; the sharded drain pipeline (core.Drainer) and the -race hammer test
-// in shard_test.go enforce this contract rather than prose alone.
+// OTP reuses per-engine scratch buffers (see below), so one Engine must
+// only ever be driven from one goroutine at a time; concurrent simulations
+// each build their own.
 type Engine struct {
 	block  cipher.Block
 	macKey [32]byte

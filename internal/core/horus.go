@@ -40,13 +40,6 @@ func (d *Drainer) DrainCHV(blocks []hierarchy.DirtyBlock, dlm bool) sim.Time {
 	nvm := d.sys.NVM
 	nvm.MarkStage("drain:chv-stream")
 
-	// Sharded pipeline: precompute the stream's functional crypto across the
-	// shard-owned engines (nil at -shards=1 or for small drains). The timed
-	// loop below is unchanged either way — it issues the same engine slots
-	// and writes the same bytes, merely skipping the inline byte computation
-	// when a precomputed slot exists (DESIGN.md §13).
-	pre := d.precomputeCHV(blocks, dlm)
-
 	var t sim.Time
 	var addrReg [8]uint64 // address-coalescing register (§IV-D)
 	var macReg1 []cme.MAC // first-level MAC register
@@ -67,12 +60,7 @@ func (d *Drainer) DrainCHV(blocks []hierarchy.DirtyBlock, dlm bool) sim.Time {
 	}
 	foldMACReg1DLM := func(group uint64) {
 		// One second-level MAC per full (or final partial) group of eight.
-		var l2 cme.MAC
-		if pre != nil {
-			l2 = pre.l2[group]
-		} else {
-			l2 = d.sys.Enc.MACOverMACs(DrainPadDomain|group, macReg1)
-		}
+		l2 := d.sys.Enc.MACOverMACs(DrainPadDomain|group, macReg1)
 		tm := sec.IssueMAC(macReady, MACCHVL2)
 		l2Ready = sim.MaxTime(l2Ready, tm)
 		macReg2 = append(macReg2, l2)
@@ -92,22 +80,12 @@ func (d *Drainer) DrainCHV(blocks []hierarchy.DirtyBlock, dlm bool) sim.Time {
 
 		// Encrypt with the drain counter as IV (Step 1, Fig. 9).
 		tAES := sec.IssueAES(0)
-		var ct mem.Block
-		if pre != nil {
-			ct = pre.ct[i]
-		} else {
-			ct = d.sys.Enc.Encrypt(b.Addr|DrainPadDomain, ctr, b.Data)
-		}
+		ct := d.sys.Enc.Encrypt(b.Addr|DrainPadDomain, ctr, b.Data)
 
 		// MAC over (address, drain counter, ciphertext) (Step 3).
 		tMAC := sec.IssueMAC(tAES, MACCHVData)
 		macReady = sim.MaxTime(macReady, tMAC)
-		var m cme.MAC
-		if pre != nil {
-			m = pre.mac[i]
-		} else {
-			m = d.sys.Enc.DataMAC(b.Addr|DrainPadDomain, ctr, ct)
-		}
+		m := d.sys.Enc.DataMAC(b.Addr|DrainPadDomain, ctr, ct)
 
 		// Write the ciphertext to its CHV slot (Step 4).
 		done := nvm.Write(tAES, lay.CHVDataAddrR(d.region, slot), ct, mem.CatCHVData)

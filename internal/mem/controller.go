@@ -209,24 +209,15 @@ func (c *Controller) Reserve(n int) {
 // Config returns the controller's configuration.
 func (c *Controller) Config() Config { return c.cfg }
 
-// BankOf interleaves blocks across banks, folding higher address bits so
+// bankOf interleaves blocks across banks, folding higher address bits so
 // that large power-of-two strides still spread across banks (the paper's
-// worst-case fill uses a 16 KB stride). It is exported because the sharded
-// drain pipeline partitions work lists by bank with the same fold: a shard
-// that owns bank i owns exactly the blocks BankOf maps to i.
-func BankOf(addr uint64, banks int) int {
+// worst-case fill uses a 16 KB stride). The store partitions its table with
+// the same fold.
+func bankOf(addr uint64, banks int) int {
 	bn := addr / BlockSize
 	h := bn ^ (bn >> 4) ^ (bn >> 9) ^ (bn >> 15) ^ (bn >> 22)
 	return int(h % uint64(banks))
 }
-
-// bankOf applies BankOf with the controller's bank count.
-func (c *Controller) bankOf(addr uint64) int {
-	return BankOf(addr, len(c.banks))
-}
-
-// BankOf exposes the controller's bank interleaving for work partitioning.
-func (c *Controller) BankOf(addr uint64) int { return c.bankOf(addr) }
 
 // Banks returns the number of independent banks.
 func (c *Controller) Banks() int { return len(c.banks) }
@@ -238,7 +229,7 @@ func (c *Controller) Read(ready sim.Time, addr uint64, cat Category) (Block, sim
 	if c.tl != nil {
 		c.tl.SetOp("read", string(cat))
 	}
-	bank := c.bankOf(addr)
+	bank := bankOf(addr, len(c.banks))
 	busStart, busDone := c.bus.Acquire(ready, c.cfg.BusSlot)
 	bankStart, done := c.banks[bank].Acquire(busDone, c.cfg.ReadLatency)
 	if c.m != nil {
@@ -271,7 +262,7 @@ func (c *Controller) Write(ready sim.Time, addr uint64, b Block, cat Category) s
 	if c.tl != nil {
 		c.tl.SetOp("write", string(cat))
 	}
-	bank := c.bankOf(addr)
+	bank := bankOf(addr, len(c.banks))
 	busStart, busDone := c.bus.Acquire(ready, c.cfg.BusSlot)
 	bankStart, done := c.banks[bank].Acquire(busDone, c.cfg.WriteLatency)
 	if c.m != nil {

@@ -116,7 +116,7 @@ func TestControllerBankParallelism(t *testing.T) {
 	addr := uint64(0)
 	issued := 0
 	for issued < n && addr < 1<<30 {
-		bk := c.bankOf(addr)
+		bk := bankOf(addr, c.Banks())
 		if !seen[bk] {
 			seen[bk] = true
 			c.Write(0, addr, Block{}, CatData)
@@ -140,7 +140,7 @@ func TestControllerStridedAccessesSpreadAcrossBanks(t *testing.T) {
 	banks := make(map[int]int)
 	const stride = 16 * 1024
 	for i := 0; i < 1024; i++ {
-		banks[c.bankOf(uint64(i)*stride)]++
+		banks[bankOf(uint64(i)*stride, c.Banks())]++
 	}
 	if len(banks) < c.cfg.Banks/2 {
 		t.Errorf("16KB-strided accesses hit only %d/%d banks", len(banks), c.cfg.Banks)

@@ -56,8 +56,7 @@ func TestShardedStoreMatchesSingleShard(t *testing.T) {
 }
 
 // TestShardPartitionFollowsBankOf pins the ownership rule of the sharded
-// store: the shard holding an address is exactly BankOf(addr, shards), so a
-// drain worker owning bank i touches no other worker's shard.
+// store: the shard holding an address is exactly bankOf(addr, shards).
 func TestShardPartitionFollowsBankOf(t *testing.T) {
 	const shards = 16
 	s := NewShardedStore(shards)
@@ -70,8 +69,8 @@ func TestShardPartitionFollowsBankOf(t *testing.T) {
 	}
 	for i := range s.shards {
 		s.shards[i].each(func(a uint64, _ storeEntry) {
-			if BankOf(a, shards) != i {
-				t.Fatalf("address %#x stored in shard %d, owned by bank %d", a, i, BankOf(a, shards))
+			if bankOf(a, shards) != i {
+				t.Fatalf("address %#x stored in shard %d, owned by bank %d", a, i, bankOf(a, shards))
 			}
 		})
 	}
@@ -109,16 +108,23 @@ func TestControllerWearThroughFusedEntries(t *testing.T) {
 	}
 }
 
-// TestBankOfExportedMatchesController pins that the exported partitioning
-// fold and the controller's internal bank routing agree — the property the
-// per-bank work-list partition relies on.
-func TestBankOfExportedMatchesController(t *testing.T) {
+// TestStoreShardFollowsControllerBank pins that a controller's store is
+// partitioned by the same fold that routes its timed accesses to banks:
+// every block the controller writes lands in the shard of its bank.
+func TestStoreShardFollowsControllerBank(t *testing.T) {
 	c := NewController(DefaultConfig())
+	if c.store.Shards() != c.Banks() {
+		t.Fatalf("store has %d shards for %d banks", c.store.Shards(), c.Banks())
+	}
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 4096; i++ {
-		addr := uint64(rng.Intn(1<<20)) * BlockSize
-		if c.BankOf(addr) != BankOf(addr, c.Banks()) {
-			t.Fatalf("Controller.BankOf(%#x) != BankOf(addr, %d)", addr, c.Banks())
-		}
+		c.Write(0, uint64(rng.Intn(1<<20))*BlockSize, Block{0: 1}, CatData)
+	}
+	for i := range c.store.shards {
+		c.store.shards[i].each(func(a uint64, _ storeEntry) {
+			if bankOf(a, c.Banks()) != i {
+				t.Fatalf("address %#x stored in shard %d, routed to bank %d", a, i, bankOf(a, c.Banks()))
+			}
+		})
 	}
 }

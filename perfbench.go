@@ -16,21 +16,13 @@ var perfbenchSink byte
 // smoke, and microbenchmarks of the secure-write and crypto substrates. All
 // run at TestConfig scale so the whole suite finishes in seconds; the
 // committed BENCH_horus.json baseline and the CI regression check both use
-// exactly this set (cmd/horus-perfbench). The optional mods are applied to
-// every episode's Config (the CLI's -shards flag routes through one).
-func RegisterPerfBenchmarks(s *perfbench.Suite, mods ...func(*Config)) {
-	benchConfig := func() Config {
-		cfg := TestConfig()
-		for _, m := range mods {
-			m(&cfg)
-		}
-		return cfg
-	}
+// exactly this set (cmd/horus-perfbench).
+func RegisterPerfBenchmarks(s *perfbench.Suite) {
 	for _, scheme := range AllSchemes() {
 		scheme := scheme
 		name := "drain/" + strings.ToLower(scheme.String())
 		s.Register(name, func() error {
-			_, err := RunDrain(benchConfig(), scheme)
+			_, err := RunDrain(TestConfig(), scheme)
 			return err
 		})
 	}
@@ -38,7 +30,7 @@ func RegisterPerfBenchmarks(s *perfbench.Suite, mods ...func(*Config)) {
 	// Sweep smoke: the Fig. 6 set through the episode engine with two
 	// workers, exercising the parallel scheduling path end to end.
 	s.Register("sweep/fig6-smoke", func() error {
-		_, err := RunFig6Ctx(context.Background(), benchConfig(), SweepOptions{Parallel: 2})
+		_, err := RunFig6Ctx(context.Background(), TestConfig(), SweepOptions{Parallel: 2})
 		return err
 	})
 
@@ -48,7 +40,7 @@ func RegisterPerfBenchmarks(s *perfbench.Suite, mods ...func(*Config)) {
 	// quietly runs a failing matrix would time a broken episode.
 	s.Register("torture/smoke", func() error {
 		rep, err := RunTortureMatrix(context.Background(),
-			TortureConfig{Config: benchConfig(), Stride: 5, MaxPoints: 8},
+			TortureConfig{Config: TestConfig(), Stride: 5, MaxPoints: 8},
 			SweepOptions{Parallel: 2})
 		if err != nil {
 			return err
@@ -62,7 +54,7 @@ func RegisterPerfBenchmarks(s *perfbench.Suite, mods ...func(*Config)) {
 	// Secure-write microbenchmark: 4096 strided writes through the secure
 	// controller (counter fetch, MAC, tree update per write).
 	s.Register("micro/secure-write-4k", func() error {
-		cfg := benchConfig()
+		cfg := TestConfig()
 		sys := NewSystem(cfg, BaseLU)
 		for i := 0; i < 4096; i++ {
 			addr := (uint64(i) * 4096) % cfg.DataSize
@@ -76,7 +68,7 @@ func RegisterPerfBenchmarks(s *perfbench.Suite, mods ...func(*Config)) {
 	// Crypto microbenchmark: 8192 encrypt+MAC pairs on the cme engine, the
 	// innermost per-block work of every secure scheme.
 	s.Register("micro/cme-encrypt-mac-8k", func() error {
-		sys := NewSystem(benchConfig(), HorusSLM)
+		sys := NewSystem(TestConfig(), HorusSLM)
 		eng := sys.Core.Enc
 		for i := 0; i < 8192; i++ {
 			addr := uint64(i) * 64
