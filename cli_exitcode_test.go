@@ -17,7 +17,7 @@ var cliBinaries = sync.OnceValues(func() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	for _, name := range []string{"horus-drain", "horus-torture", "horus-litmus", "horus-fleet", "horus-perfbench"} {
+	for _, name := range []string{"horus-drain", "horus-torture", "horus-litmus", "horus-fleet", "horus-perfbench", "horus-plan", "horus-runtime"} {
 		cmd := exec.Command("go", "build", "-o", filepath.Join(dir, name), "./cmd/"+name)
 		if out, err := cmd.CombinedOutput(); err != nil {
 			return "", &buildError{name: name, out: string(out), err: err}
@@ -81,6 +81,13 @@ func TestCLIExitCodeContract(t *testing.T) {
 			[]string{"-reps", "-3", "-out", ""}, 1},
 		{"perfbench warn above fail", "horus-perfbench",
 			[]string{"-warn", "0.5", "-fail", "0.3", "-out", ""}, 1},
+		{"plan zero banks", "horus-plan", []string{"-banks", "0"}, 1},
+		{"plan negative banks", "horus-plan", []string{"-banks", "-3"}, 1},
+		{"plan zero llc", "horus-plan", []string{"-llc", "0"}, 1},
+		{"plan negative mem", "horus-plan", []string{"-mem", "-1"}, 1},
+		{"runtime persist above 100", "horus-runtime", []string{"-persist", "150"}, 1},
+		{"runtime negative persist", "horus-runtime", []string{"-persist", "-1"}, 1},
+		{"runtime negative ops", "horus-runtime", []string{"-ops", "-5"}, 1},
 	}
 	for _, tc := range cases {
 		tc := tc

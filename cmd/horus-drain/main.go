@@ -21,7 +21,6 @@ import (
 	"repro/internal/cliutil"
 	"repro/internal/energy"
 	"repro/internal/report"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -33,8 +32,7 @@ func main() {
 		shuffle     = flag.Bool("shuffle", false, "shuffle the flush order (harsher than the paper's in-order flush)")
 		compareFlag = flag.Bool("compare", false, "also run the non-secure reference and print ratios")
 		verbose     = flag.Bool("v", false, "print per-category breakdowns")
-		traceFile   = flag.String("access-trace", "", "write a CSV trace of every memory access to this file")
-		traceLimit  = flag.Int("access-trace-limit", 2_000_000, "maximum access-trace events retained (0 = unlimited)")
+		traceFile   = flag.String("access-trace", "", "write a CSV trace of every drain memory access to this file (bounded by -trace-events)")
 		traceEnergy = flag.Bool("trace-energy", false, "print a sparkline of the energy drawdown over the drain (records time series)")
 	)
 	bf := cliutil.AddBatteryFlags("", "drain")
@@ -63,6 +61,9 @@ func main() {
 	}
 	cfg.Metrics = tfl.EnsureRegistry(mf.Registry())
 	cfg.Timeline = tf.Recorder()
+	if cfg.Timeline == nil && *traceFile != "" {
+		cfg.Timeline = horus.NewTimelineRecorder(tf.Limit)
+	}
 
 	budgetJ, err := bf.BudgetJoules()
 	if err != nil {
@@ -80,25 +81,17 @@ func main() {
 	}
 
 	sys := horus.NewSystem(cfg, scheme)
-	var rec *trace.Recorder
-	if *traceFile != "" {
-		rec = trace.NewRecorder(*traceLimit)
-		sys.Core.NVM.AddObserver(rec)
-	}
 	if err := sys.Warmup(); err != nil {
 		fatal(err)
 	}
 	sys.Fill()
-	if rec != nil {
-		rec.Reset() // trace the drain only, not the warm-up
-	}
 	res, err := sys.Drain()
 	if err != nil {
 		fatal(err)
 	}
 	printResult(cfg, res, *verbose)
+	tlRec := cfg.Timeline.Recording()
 	if tf.Enabled() {
-		tlRec := cfg.Timeline.Recording()
 		if tf.Attrib {
 			att := horus.AnalyzeTimeline(tlRec)
 			att.Publish(cfg.Metrics, "scheme", res.Scheme.String())
@@ -123,23 +116,24 @@ func main() {
 		}
 		fmt.Printf("metrics:        %s snapshot to %s\n", mf.Format, mf.Path)
 	}
-	if rec != nil {
+	if *traceFile != "" {
 		f, err := os.Create(*traceFile)
 		if err != nil {
 			fatal(err)
 		}
-		if err := rec.WriteCSV(f); err != nil {
+		if err := tlRec.WriteAccessCSV(f); err != nil {
 			fatal(err)
 		}
 		if err := f.Close(); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("trace:          %d events to %s (%d dropped)\n", rec.Len(), *traceFile, rec.Dropped())
+		fmt.Printf("trace:          access CSV to %s (%d timeline events dropped)\n", *traceFile, tlRec.Dropped)
 	}
 
 	if *compareFlag && scheme != horus.NonSecure {
 		nsCfg := cfg
 		nsCfg.Timeseries = nil // reference run: keep the episode's series clean
+		nsCfg.Timeline = nil   // and record no second timeline
 		ns, err := horus.RunDrain(nsCfg, horus.NonSecure)
 		if err != nil {
 			fatal(err)

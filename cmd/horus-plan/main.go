@@ -37,9 +37,11 @@ func main() {
 	pf := cliutil.AddProfileFlags()
 	tfl := cliutil.AddTelemetryFlags(false)
 	flag.Parse()
+	if *llcMB <= 0 || *memGB <= 0 || *banks <= 0 {
+		fatal(fmt.Errorf("bad -llc %d -mem %d -banks %d (want each > 0)", *llcMB, *memGB, *banks))
+	}
 	if err := pf.Start(); err != nil {
-		fmt.Fprintln(os.Stderr, "horus-plan:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	defer pf.Stop()
 
@@ -50,14 +52,12 @@ func main() {
 	cfg.Metrics = tfl.EnsureRegistry(mf.Registry())
 	cfg.Timeseries = tfl.Sampler()
 	if err := tfl.StartServer(cfg.Metrics); err != nil {
-		fmt.Fprintln(os.Stderr, "horus-plan:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	defer tfl.Shutdown()
 	defer func() {
 		if err := tfl.WriteTimeseries(); err != nil {
-			fmt.Fprintln(os.Stderr, "horus-plan:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 	}()
 
@@ -87,8 +87,7 @@ func main() {
 	vals, err := horus.ValidatePlansCtx(ctx, cfg, horus.AllSchemes(),
 		horus.SweepOptions{Parallel: *parallel, Timeout: *timeout})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "horus-plan:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	v := &report.Table{
 		Title:  "Validation against simulation",
@@ -102,9 +101,13 @@ func main() {
 	if mf.Enabled() {
 		report.SpanTree(cfg.Metrics).Fprint(os.Stdout)
 		if err := mf.Write(cfg.Metrics); err != nil {
-			fmt.Fprintln(os.Stderr, "horus-plan:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		fmt.Printf("metrics: %s snapshot to %s\n", mf.Format, mf.Path)
 	}
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "horus-plan:", err)
+	os.Exit(1)
 }

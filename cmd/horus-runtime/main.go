@@ -37,6 +37,12 @@ func main() {
 	pf := cliutil.AddProfileFlags()
 	tfl := cliutil.AddTelemetryFlags(false)
 	flag.Parse()
+	if *ops < 0 {
+		fatal(fmt.Errorf("bad -ops %d (want >= 0)", *ops))
+	}
+	if *persist < 0 || *persist > 100 {
+		fatal(fmt.Errorf("bad -persist %d (want 0..100)", *persist))
+	}
 	if err := pf.Start(); err != nil {
 		fatal(err)
 	}

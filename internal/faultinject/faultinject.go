@@ -161,7 +161,7 @@ func (in *Injector) OnStage(stage string) { in.stage = stage }
 // OnWrite implements mem.FaultInjector: counts the write, fires the planned
 // fault at the chosen step, and — for interrupting flavors — keeps
 // suppressing every later write.
-func (in *Injector) OnWrite(addr uint64, cat mem.Category) mem.Fault {
+func (in *Injector) OnWrite(addr uint64, cat mem.Category, _ mem.Block) mem.Fault {
 	idx := in.step
 	in.step++
 	if in.cut {

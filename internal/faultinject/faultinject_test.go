@@ -9,7 +9,7 @@ import (
 func TestCountingPassNeverFires(t *testing.T) {
 	in := NewInjector(CrashPlan{Step: -1, Flavor: CleanCut})
 	for i := 0; i < 10; i++ {
-		if f := in.OnWrite(uint64(i*64), mem.CatData); f.Kind != mem.FaultNone {
+		if f := in.OnWrite(uint64(i*64), mem.CatData, mem.Block{}); f.Kind != mem.FaultNone {
 			t.Fatalf("counting pass injected %v at write %d", f.Kind, i)
 		}
 	}
@@ -27,7 +27,7 @@ func TestCleanCutSuppressesTail(t *testing.T) {
 	in.OnCut = func() { cutSeen = true }
 	kinds := make([]mem.FaultKind, 0, 6)
 	for i := 0; i < 6; i++ {
-		kinds = append(kinds, in.OnWrite(uint64(i*64), mem.CatCHVData).Kind)
+		kinds = append(kinds, in.OnWrite(uint64(i*64), mem.CatCHVData, mem.Block{}).Kind)
 	}
 	want := []mem.FaultKind{mem.FaultNone, mem.FaultNone, mem.FaultNone, mem.FaultCut, mem.FaultCut, mem.FaultCut}
 	for i := range want {
@@ -46,15 +46,15 @@ func TestCleanCutSuppressesTail(t *testing.T) {
 
 func TestTornWriteInterruptsAndDerivesPrefix(t *testing.T) {
 	in := NewInjector(CrashPlan{Step: 1, Flavor: TornWrite, Seed: 7})
-	in.OnWrite(0, mem.CatData)
-	f := in.OnWrite(64, mem.CatData)
+	in.OnWrite(0, mem.CatData, mem.Block{})
+	f := in.OnWrite(64, mem.CatData, mem.Block{})
 	if f.Kind != mem.FaultTear {
 		t.Fatalf("fault = %v, want tear", f.Kind)
 	}
 	if f.TornBytes < 1 || f.TornBytes >= mem.BlockSize {
 		t.Fatalf("TornBytes = %d, want in [1,%d)", f.TornBytes, mem.BlockSize)
 	}
-	if tail := in.OnWrite(128, mem.CatData); tail.Kind != mem.FaultCut {
+	if tail := in.OnWrite(128, mem.CatData, mem.Block{}); tail.Kind != mem.FaultCut {
 		t.Fatalf("post-tear write fault = %v, want cut", tail.Kind)
 	}
 }
@@ -64,7 +64,7 @@ func TestCompletingFlavorsFireOnce(t *testing.T) {
 		in := NewInjector(CrashPlan{Step: 2, Flavor: flavor, Seed: 42})
 		var fired int
 		for i := 0; i < 8; i++ {
-			if f := in.OnWrite(uint64(i*64), mem.CatMAC); f.Kind != mem.FaultNone {
+			if f := in.OnWrite(uint64(i*64), mem.CatMAC, mem.Block{}); f.Kind != mem.FaultNone {
 				fired++
 				if i != 2 {
 					t.Fatalf("%v fired at write %d, want 2", flavor, i)
@@ -83,14 +83,14 @@ func TestCompletingFlavorsFireOnce(t *testing.T) {
 func TestInjectorDeterministicParams(t *testing.T) {
 	get := func() mem.Fault {
 		in := NewInjector(CrashPlan{Step: 0, Flavor: BitFlip, Seed: 99})
-		return in.OnWrite(0, mem.CatData)
+		return in.OnWrite(0, mem.CatData, mem.Block{})
 	}
 	a, b := get(), get()
 	if a != b {
 		t.Fatalf("same plan produced different faults: %+v vs %+v", a, b)
 	}
 	in2 := NewInjector(CrashPlan{Step: 0, Flavor: BitFlip, Seed: 100})
-	if c := in2.OnWrite(0, mem.CatData); c == a {
+	if c := in2.OnWrite(0, mem.CatData, mem.Block{}); c == a {
 		t.Log("different seeds gave the same flip parameters (possible but unlikely)")
 	}
 }

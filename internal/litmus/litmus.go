@@ -50,9 +50,9 @@ type Epoch struct {
 func (e Epoch) Size() int { return e.Hi - e.Lo }
 
 // Recorder captures a drain episode's write stream and its epoch structure.
-// It implements mem.FaultInjector (injecting nothing) plus mem.WriteRecorder
-// (capturing committed content), so installing it via SetFaultInjector
-// records a fault-free episode byte-for-byte.
+// It implements mem.FaultInjector, recording every write and injecting
+// nothing, so installing it via SetFaultInjector records a fault-free
+// episode byte-for-byte.
 //
 // Not safe for concurrent use; record one episode per Recorder.
 type Recorder struct {
@@ -70,12 +70,11 @@ type Recorder struct {
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
 
-// OnWrite implements mem.FaultInjector; the recorder never injects faults.
-func (r *Recorder) OnWrite(addr uint64, cat mem.Category) mem.Fault { return mem.Fault{} }
-
-// OnWriteCommitted implements mem.WriteRecorder: append the committed write.
-func (r *Recorder) OnWriteCommitted(addr uint64, cat mem.Category, b mem.Block) {
+// OnWrite implements mem.FaultInjector: append the write and inject no
+// fault, so b is exactly the content that commits.
+func (r *Recorder) OnWrite(addr uint64, cat mem.Category, b mem.Block) mem.Fault {
 	r.writes = append(r.writes, Write{Step: len(r.writes), Addr: addr, Cat: cat, Data: b})
+	return mem.Fault{}
 }
 
 // OnStage implements mem.FaultInjector: a stage mark is a persist barrier,

@@ -39,7 +39,10 @@ func TestRecorderEpochSegmentation(t *testing.T) {
 	write := func(addr uint64, cat mem.Category, v byte) {
 		var b mem.Block
 		b[0] = v
-		r.OnWriteCommitted(addr, cat, b)
+		// The recorder must be a no-fault injector.
+		if f := r.OnWrite(addr, cat, b); f.Kind != mem.FaultNone {
+			t.Errorf("recorder injected fault %v", f.Kind)
+		}
 	}
 
 	r.OnStage("drain:blocks")
@@ -68,10 +71,6 @@ func TestRecorderEpochSegmentation(t *testing.T) {
 	}
 	if r.Writes()[2].Data[0] != 3 {
 		t.Errorf("write content not preserved: %v", r.Writes()[2].Data[0])
-	}
-	// The recorder must be a no-fault injector.
-	if f := r.OnWrite(0, mem.CatData); f.Kind != mem.FaultNone {
-		t.Errorf("recorder injected fault %v", f.Kind)
 	}
 	// Finish with no trailing writes must not add an epoch.
 	r.Finish()

@@ -110,7 +110,7 @@ func (m *addrMap[V]) rehash(oldKeys []uint64, oldVals []V) {
 		if k == 0 {
 			continue
 		}
-		for j := hashAddr(k &^ 1) & mask; ; j = (j + 1) & mask {
+		for j := hashAddr(k&^1) & mask; ; j = (j + 1) & mask {
 			if m.keys[j] == 0 {
 				m.keys[j] = k
 				m.vals[j] = oldVals[i]

@@ -47,12 +47,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// Observer receives every timed access; used by the trace package.
-// kind is "read" or "write"; done is the access completion time.
-type Observer interface {
-	OnAccess(kind string, done sim.Time, addr uint64, category string)
-}
-
 // Controller couples the functional store with the banked timing model and
 // per-category access accounting.
 type Controller struct {
@@ -64,31 +58,10 @@ type Controller struct {
 	reads  *sim.CounterSet
 	writes *sim.CounterSet
 
-	observers []Observer         // access tracers, notified in registration order
-	m         *accessMetrics     // optional per-access instrumentation
-	ts        *tsSeries          // optional windowed time-series sampling
-	fault     FaultInjector      // optional write-fault injection (torture harness)
-	recorder  WriteRecorder      // optional committed-write observer (litmus recorder)
-	tl        *timeline.Recorder // optional event-timeline recorder
-}
-
-// AddObserver appends an access observer. Observers are notified of every
-// timed access in the order they were added; a nil observer is ignored.
-func (c *Controller) AddObserver(o Observer) {
-	if o != nil {
-		c.observers = append(c.observers, o)
-	}
-}
-
-// RemoveObserver detaches a previously added observer (compared by
-// identity). Unknown observers are ignored.
-func (c *Controller) RemoveObserver(o Observer) {
-	for i, cur := range c.observers {
-		if cur == o {
-			c.observers = append(c.observers[:i], c.observers[i+1:]...)
-			return
-		}
-	}
+	m     *accessMetrics     // optional per-access instrumentation
+	ts    *tsSeries          // optional windowed time-series sampling
+	fault FaultInjector      // optional write-fault injection (torture harness, litmus recorder)
+	tl    *timeline.Recorder // optional event-timeline recorder
 }
 
 // accessMetrics caches metric handles so the per-access hot path does no
@@ -184,7 +157,7 @@ func NewController(cfg Config) *Controller {
 
 // SetTimeline attaches an event-timeline recorder to the bus and every bank
 // (nil detaches). Each reservation the controller places is then recorded as
-// one interval, stamped with the access op and category.
+// one interval, stamped with the access op, category and address.
 func (c *Controller) SetTimeline(rec *timeline.Recorder) {
 	c.tl = rec
 	var tr sim.Tracer
@@ -227,7 +200,7 @@ func (c *Controller) Banks() int { return len(c.banks) }
 func (c *Controller) Read(ready sim.Time, addr uint64, cat Category) (Block, sim.Time) {
 	c.reads.Add(string(cat), 1)
 	if c.tl != nil {
-		c.tl.SetOp("read", string(cat))
+		c.tl.SetAccess("read", string(cat), addr)
 	}
 	bank := bankOf(addr, len(c.banks))
 	busStart, busDone := c.bus.Acquire(ready, c.cfg.BusSlot)
@@ -241,26 +214,23 @@ func (c *Controller) Read(ready sim.Time, addr uint64, cat Category) (Block, sim
 	if c.ts != nil {
 		c.ts.depth[bank].Record(int64(bankStart), float64(bankStart-busDone)/float64(c.cfg.ReadLatency))
 	}
-	for _, o := range c.observers {
-		o.OnAccess("read", done, addr, string(cat))
-	}
 	return c.store.ReadBlock(addr), done
 }
 
 // Write performs a timed, counted write of b to addr. The returned time is
 // when the write is durable in the NVM. With a fault injector installed, the
-// issued access is still timed, counted and observed (the command went out on
+// issued access is still timed, counted and traced (the command went out on
 // the bus), but the content that lands on the medium is the injector's
 // faulted view — possibly torn, bit-flipped, or not committed at all.
 func (c *Controller) Write(ready sim.Time, addr uint64, b Block, cat Category) sim.Time {
 	c.writes.Add(string(cat), 1)
 	// One probe serves the whole access: the fused entry carries the wear
 	// count and the content slot. Nothing below inserts into the store (the
-	// observers and metrics only read), so the pointer stays valid.
+	// metrics and tracers only read), so the pointer stays valid.
 	e := c.store.entry(addr)
 	e.wear++
 	if c.tl != nil {
-		c.tl.SetOp("write", string(cat))
+		c.tl.SetAccess("write", string(cat), addr)
 	}
 	bank := bankOf(addr, len(c.banks))
 	busStart, busDone := c.bus.Acquire(ready, c.cfg.BusSlot)
@@ -274,25 +244,15 @@ func (c *Controller) Write(ready sim.Time, addr uint64, b Block, cat Category) s
 	if c.ts != nil {
 		c.ts.depth[bank].Record(int64(bankStart), float64(bankStart-busDone)/float64(c.cfg.WriteLatency))
 	}
-	for _, o := range c.observers {
-		o.OnAccess("write", done, addr, string(cat))
-	}
 	if c.fault != nil {
-		if f := c.fault.OnWrite(addr, cat); f.Kind != FaultNone {
-			nb, commit := applyFault(f, e.b, b)
-			if commit {
+		if f := c.fault.OnWrite(addr, cat, b); f.Kind != FaultNone {
+			if nb, commit := applyFault(f, e.b, b); commit {
 				e.b = nb
-				if c.recorder != nil {
-					c.recorder.OnWriteCommitted(addr, cat, nb)
-				}
 			}
 			return done
 		}
 	}
 	e.b = b
-	if c.recorder != nil {
-		c.recorder.OnWriteCommitted(addr, cat, b)
-	}
 	return done
 }
 

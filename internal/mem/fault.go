@@ -44,9 +44,9 @@ func (k FaultKind) String() string {
 // Fault describes the corruption to apply to a single write.
 type Fault struct {
 	Kind      FaultKind
-	Byte      int   // FaultFlip: byte offset within the block (mod BlockSize)
-	Mask      byte  // FaultFlip: XOR mask; zero masks are promoted to 1
-	TornBytes int   // FaultTear: bytes of the new data that land (clamped to [1, BlockSize))
+	Byte      int  // FaultFlip: byte offset within the block (mod BlockSize)
+	Mask      byte // FaultFlip: XOR mask; zero masks are promoted to 1
+	TornBytes int  // FaultTear: bytes of the new data that land (clamped to [1, BlockSize))
 }
 
 // FaultInjector is consulted by the controller on every durable write and at
@@ -59,32 +59,21 @@ type Fault struct {
 // crash-plan implementation.
 type FaultInjector interface {
 	// OnWrite is called once per Write, before the data is committed to
-	// the store, with the target address and access category. The
-	// returned Fault is applied to this write.
-	OnWrite(addr uint64, cat Category) Fault
+	// the store, with the target address, access category and the block
+	// being written. The returned Fault is applied to this write; with
+	// FaultNone exactly b commits (the litmus recorder relies on this to
+	// capture a fault-free episode byte for byte).
+	OnWrite(addr uint64, cat Category, b Block) Fault
 	// OnStage is called at named persist-ordering boundaries (e.g.
 	// "drain:blocks", "drain:meta-flush") so injectors can attribute
 	// write steps to pipeline stages.
 	OnStage(stage string)
 }
 
-// WriteRecorder is an optional extension a FaultInjector may implement to
-// observe the content of every write that actually commits to the medium.
-// OnWrite fires before the store is touched and never sees data; recorders
-// (the litmus epoch recorder) need the committed bytes to replay orderings.
-// It is called once per committed write with the post-fault content — for a
-// dropped or cut write it is not called at all.
-type WriteRecorder interface {
-	OnWriteCommitted(addr uint64, cat Category, b Block)
-}
-
 // SetFaultInjector installs (or, with nil, removes) the fault injector
-// consulted on every subsequent write. If the injector also implements
-// WriteRecorder, the controller reports every committed write's content to
-// it (the type assertion is cached here, off the per-write hot path).
+// consulted on every subsequent write.
 func (c *Controller) SetFaultInjector(f FaultInjector) {
 	c.fault = f
-	c.recorder, _ = f.(WriteRecorder)
 }
 
 // MarkStage forwards a persist-ordering boundary label to the installed

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/timeline"
 )
 
 func TestStoreZeroDefault(t *testing.T) {
@@ -188,33 +189,35 @@ func TestControllerZeroBanksPanics(t *testing.T) {
 	NewController(Config{Banks: 0})
 }
 
-// orderObserver records the order it was called in, shared across observers.
-type orderObserver struct {
-	id  int
-	log *[]int
-}
-
-func (o *orderObserver) OnAccess(kind string, done sim.Time, addr uint64, category string) {
-	*o.log = append(*o.log, o.id)
-}
-
-func TestObserverFanOutOrdering(t *testing.T) {
+// TestTimelineStampsAccesses checks that every access reaches an attached
+// timeline as one bus and one bank event carrying its op, category and
+// address, the bank event completing when the access does.
+func TestTimelineStampsAccesses(t *testing.T) {
 	c := NewController(DefaultConfig())
-	var log []int
-	c.AddObserver(&orderObserver{1, &log})
-	c.AddObserver(&orderObserver{2, &log})
-	c.AddObserver(&orderObserver{3, &log})
-	c.AddObserver(nil) // ignored
-	c.Write(0, 0, Block{}, CatData)
-	c.Read(0, 0, CatData)
-	want := []int{1, 2, 3, 1, 2, 3}
-	if len(log) != len(want) {
-		t.Fatalf("fan-out calls = %v, want %v", log, want)
+	rec := timeline.NewRecorder(0)
+	c.SetTimeline(rec)
+	wdone := c.Write(0, 0x1000, Block{}, CatData)
+	_, rdone := c.Read(0, 0x1040, CatCounter)
+	ev := rec.Recording().Events
+	if len(ev) != 4 {
+		t.Fatalf("recorded %d events, want 4 (bus+bank per access)", len(ev))
 	}
-	for i := range want {
-		if log[i] != want[i] {
-			t.Fatalf("fan-out order = %v, want registration order %v", log, want)
+	want := []struct {
+		kind, op, label string
+		addr            uint64
+	}{
+		{"bus", "write", "data", 0x1000}, {"bank", "write", "data", 0x1000},
+		{"bus", "read", "counter", 0x1040}, {"bank", "read", "counter", 0x1040},
+	}
+	for i, w := range want {
+		e := ev[i]
+		if e.Kind != w.kind || e.Op != w.op || e.Label != w.label || e.Addr != w.addr {
+			t.Errorf("event %d = %s %s/%s %#x, want %s %s/%s %#x",
+				i, e.Kind, e.Op, e.Label, e.Addr, w.kind, w.op, w.label, w.addr)
 		}
+	}
+	if ev[1].Done != wdone || ev[3].Done != rdone {
+		t.Errorf("bank completions %d/%d, want access completions %d/%d", ev[1].Done, ev[3].Done, wdone, rdone)
 	}
 }
 
@@ -227,7 +230,7 @@ type scriptInjector struct {
 	stages []string
 }
 
-func (s *scriptInjector) OnWrite(addr uint64, cat Category) Fault {
+func (s *scriptInjector) OnWrite(addr uint64, cat Category, b Block) Fault {
 	idx := s.n
 	s.n++
 	if idx == s.at {

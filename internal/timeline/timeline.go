@@ -35,6 +35,9 @@ type Event struct {
 	// Stage is the drain-pipeline stage in flight ("drain:blocks",
 	// "drain:chv-stream", ...), empty outside a marked stage.
 	Stage string
+	// Addr is the NVM block address of a memory access (bank and bus
+	// events); engine events carry 0.
+	Addr uint64
 	// Ready is when the operation could first have used the resource;
 	// Start/End bound the reservation actually placed ([Start, End) never
 	// overlaps another event on the same Track); Done is the operation's
@@ -56,9 +59,10 @@ type Recorder struct {
 	episode string
 	total   sim.Time
 
-	// op/label/stage are the labels stamped on the next events; the
+	// op/label/stage/addr are the labels stamped on the next events; the
 	// controllers set them immediately before issuing reservations.
 	op, label, stage string
+	addr             uint64
 }
 
 // NewRecorder returns a recorder retaining at most limit events (0 selects
@@ -90,17 +94,24 @@ func (r *Recorder) OnReserve(name, kind string, ready, start, end, done sim.Time
 	}
 	r.events = append(r.events, Event{
 		Track: name, Kind: kind,
-		Op: r.op, Label: r.label, Stage: r.stage,
+		Op: r.op, Label: r.label, Stage: r.stage, Addr: r.addr,
 		Ready: ready, Start: start, End: end, Done: done,
 	})
 }
 
-// SetOp stamps the operation and its refining label onto subsequent events.
+// SetOp stamps the operation and its refining label onto subsequent events,
+// with no address.
 func (r *Recorder) SetOp(op, label string) {
+	r.SetAccess(op, label, 0)
+}
+
+// SetAccess stamps a memory access (op "read" or "write", its category and
+// block address) onto subsequent events.
+func (r *Recorder) SetAccess(op, label string, addr uint64) {
 	if r == nil {
 		return
 	}
-	r.op, r.label = op, label
+	r.op, r.label, r.addr = op, label, addr
 }
 
 // SetStage stamps the drain-pipeline stage onto subsequent events.
