@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -110,5 +112,106 @@ func TestTimelineInvariantProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// refTimeline is the bounded gap list's reference eviction policy, written
+// out plainly: earliest-fit placement over the gaps that end after ready,
+// and on a full-list insert a scan that evicts the smallest gap (earliest
+// start on ties) unless no gap is strictly smaller than the new one, in
+// which case the new gap is dropped.
+type refTimeline struct {
+	gaps   []gap
+	tail   Time
+	evicts int
+	drops  int
+}
+
+func (r *refTimeline) reserve(ready, dur Time) Time {
+	for i, g := range r.gaps {
+		if g.end <= ready {
+			continue
+		}
+		s := MaxTime(g.start, ready)
+		if s+dur > g.end {
+			continue
+		}
+		switch {
+		case s == g.start && s+dur == g.end:
+			r.gaps = slices.Delete(r.gaps, i, i+1)
+		case s == g.start:
+			r.gaps[i].start = s + dur
+		case s+dur == g.end:
+			r.gaps[i].end = s
+		default:
+			r.gaps[i].end = s
+			r.insert(gap{s + dur, g.end}, i+1)
+		}
+		return s
+	}
+	s := MaxTime(ready, r.tail)
+	if s > r.tail {
+		r.insert(gap{r.tail, s}, len(r.gaps))
+	}
+	r.tail = s + dur
+	return s
+}
+
+func (r *refTimeline) insert(g gap, i int) {
+	if len(r.gaps) >= maxGaps {
+		si, smallest := -1, g.end-g.start
+		for j, h := range r.gaps {
+			if d := h.end - h.start; d < smallest {
+				smallest, si = d, j
+			}
+		}
+		if si < 0 {
+			r.drops++
+			return
+		}
+		r.evicts++
+		if si < i {
+			i--
+		}
+		r.gaps = slices.Delete(r.gaps, si, si+1)
+	}
+	r.gaps = slices.Insert(r.gaps, i, g)
+}
+
+// Differential property: over streams far longer than maxGaps, with gap and
+// request lengths drawn from a handful of values so equal-length gaps are
+// the norm, every start time and the surviving gap list match the reference
+// eviction policy after every reservation.
+func TestTimelineEvictionDifferential(t *testing.T) {
+	var evicts, drops int
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var tl timeline
+		var ref refTimeline
+		for op := 0; op < 4000; op++ {
+			var ready Time
+			if rng.Intn(3) == 0 {
+				// Back-fill: ready somewhere in the recent past.
+				ready = MaxTime(0, ref.tail-Time(rng.Intn(400)))
+			} else {
+				// Advance past the tail, leaving a gap of a few fixed sizes.
+				ready = ref.tail + Time(rng.Intn(5)*(1+rng.Intn(3)))
+			}
+			dur := Time([]int{1, 1, 2, 2, 3, 4, 8}[rng.Intn(7)])
+			got, want := tl.reserve(ready, dur), ref.reserve(ready, dur)
+			if got != want {
+				t.Fatalf("seed %d op %d: reserve(%v, %v) = %v, reference %v", seed, op, ready, dur, got, want)
+			}
+			if !slices.Equal(tl.gaps, ref.gaps) || tl.tail != ref.tail {
+				t.Fatalf("seed %d op %d: gap list diverged from the reference\n got %v tail %v\nwant %v tail %v",
+					seed, op, tl.gaps, tl.tail, ref.gaps, ref.tail)
+			}
+		}
+		evicts += ref.evicts
+		drops += ref.drops
+	}
+	// The streams must exercise both outcomes of a full-list insert.
+	if evicts < 1000 || drops < 1000 {
+		t.Fatalf("streams too tame: %d evictions, %d drops", evicts, drops)
 	}
 }
