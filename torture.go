@@ -223,6 +223,7 @@ func RunTortureMatrix(ctx context.Context, tc TortureConfig, opts SweepOptions) 
 	tsSink := cfg.Timeseries
 	cfg.Metrics = nil // cells must not share a registry
 	cfg.Timeseries = nil
+	cfg.Timeline = nil // nor a recorder: parallel cells would race on its stage
 	newWorkload := tc.NewWorkload
 	if newWorkload == nil {
 		newWorkload = defaultTortureWorkload

@@ -102,6 +102,30 @@ func TestTortureMatrixDeterministicUnderParallel(t *testing.T) {
 	}
 }
 
+// TestTortureMatrixIgnoresTimelineRecorder: a recorder on the matrix config
+// is not handed to the cells, which run in parallel and would otherwise race
+// on it (go test -race flags the shared stage writes), and the verdicts
+// match a matrix run without one.
+func TestTortureMatrixIgnoresTimelineRecorder(t *testing.T) {
+	tc := TortureConfig{Config: TestConfig(), Schemes: []Scheme{HorusSLM}, Flavors: []CrashFlavor{CrashBitFlip}, Stride: 7, MaxPoints: 4}
+	plain, err := RunTortureMatrix(context.Background(), tc, SweepOptions{Parallel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := NewTimelineRecorder(0)
+	tc.Config.Timeline = rec
+	traced, err := RunTortureMatrix(context.Background(), tc, SweepOptions{Parallel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(plain.Cells, traced.Cells) {
+		t.Fatal("a timeline recorder on the config changed the matrix verdicts")
+	}
+	if n := rec.Len(); n != 0 {
+		t.Fatalf("cells recorded %d events into the caller's recorder", n)
+	}
+}
+
 // TestTortureMatrixRejectsNonSecure: the contract is about detection, which
 // NonSecure cannot provide by design.
 func TestTortureMatrixRejectsNonSecure(t *testing.T) {
