@@ -6,7 +6,9 @@
 // The cache tracks presence and dirtiness only; functional content for dirty
 // lines is held by the owning component (the secure memory controller keeps
 // the logical values of dirty metadata lines). This split mirrors hardware:
-// the array stores bits, the controller decides what they mean.
+// the array stores bits, the controller decides what they mean. The probes
+// return the line's slot (set*ways+way) so the owner can keep that content
+// in a slot-indexed array of its own.
 package cache
 
 import "fmt"
@@ -34,7 +36,7 @@ type Cache struct {
 	blockSize uint64
 	numSets   uint64
 	ways      int
-	sets      [][]line
+	lines     []line // set*ways+way
 	tick      uint64
 	stats     Stats
 
@@ -63,10 +65,7 @@ func New(name string, sizeBytes, ways, blockSize int) *Cache {
 		blockSize: uint64(blockSize),
 		numSets:   uint64(numSets),
 		ways:      ways,
-		sets:      make([][]line, numSets),
-	}
-	for i := range c.sets {
-		c.sets[i] = make([]line, ways)
+		lines:     make([]line, numSets*ways),
 	}
 	return c
 }
@@ -92,45 +91,51 @@ func (c *Cache) addrOf(set, tag uint64) uint64 {
 	return (tag*c.numSets + set) * c.blockSize
 }
 
-// Lookup probes for addr. On a hit it updates LRU state and returns true.
-// On a miss it returns false and counts a miss; it does not allocate.
-func (c *Cache) Lookup(addr uint64) bool {
+// find returns the slot holding addr, or -1.
+func (c *Cache) find(addr uint64) int {
 	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
+	base := int(set) * c.ways
+	for i, l := range c.lines[base : base+c.ways] {
 		if l.valid && l.tag == tag {
-			c.tick++
-			l.lru = c.tick
-			c.stats.Hits++
-			return true
+			return base + i
 		}
 	}
-	c.stats.Misses++
-	return false
+	return -1
 }
 
-// Contains probes for addr without touching LRU state or statistics.
-func (c *Cache) Contains(addr uint64) bool {
-	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
-		if l.valid && l.tag == tag {
-			return true
-		}
+// Lookup probes for addr. On a hit it updates LRU state and returns the
+// line's slot and true. On a miss it returns false and counts a miss; it
+// does not allocate.
+func (c *Cache) Lookup(addr uint64) (slot int, hit bool) {
+	slot = c.find(addr)
+	if slot < 0 {
+		c.stats.Misses++
+		return slot, false
 	}
-	return false
+	c.tick++
+	c.lines[slot].lru = c.tick
+	c.stats.Hits++
+	return slot, true
+}
+
+// Contains probes for addr without touching LRU state or statistics,
+// returning the line's slot when present.
+func (c *Cache) Contains(addr uint64) (slot int, ok bool) {
+	slot = c.find(addr)
+	return slot, slot >= 0
 }
 
 // IsDirty reports whether addr is present and dirty (no LRU update).
 func (c *Cache) IsDirty(addr uint64) bool {
-	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
-		if l.valid && l.tag == tag {
-			return l.dirty
-		}
-	}
-	return false
+	slot := c.find(addr)
+	return slot >= 0 && c.lines[slot].dirty
+}
+
+// DirtyAt reports whether the line in slot (as returned by a probe) is
+// valid and dirty.
+func (c *Cache) DirtyAt(slot int) bool {
+	l := &c.lines[slot]
+	return l.valid && l.dirty
 }
 
 // Eviction describes a line displaced by Insert.
@@ -140,16 +145,18 @@ type Eviction struct {
 }
 
 // Insert allocates addr (which must not be present), choosing the LRU victim
-// if the set is full. It returns the eviction, if any. The dirty flag sets
-// the initial dirtiness of the new line.
-func (c *Cache) Insert(addr uint64, dirty bool) (ev Eviction, evicted bool) {
+// if the set is full. It returns the slot the new line occupies — the
+// victim's former slot — and the eviction, if any. The dirty flag sets the
+// initial dirtiness of the new line.
+func (c *Cache) Insert(addr uint64, dirty bool) (slot int, ev Eviction, evicted bool) {
 	set, tag := c.index(addr)
+	base := int(set) * c.ways
 	victim := -1
 	cleanVictim := -1
 	var oldest uint64 = ^uint64(0)
 	var oldestClean uint64 = ^uint64(0)
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
+	for i := range c.lines[base : base+c.ways] {
+		l := &c.lines[base+i]
 		if l.valid && l.tag == tag {
 			panic(fmt.Sprintf("cache %s: Insert of already-present address %#x", c.name, addr))
 		}
@@ -170,7 +177,8 @@ func (c *Cache) Insert(addr uint64, dirty bool) (ev Eviction, evicted bool) {
 	if c.preferClean && oldest != 0 && cleanVictim >= 0 {
 		victim = cleanVictim
 	}
-	v := &c.sets[set][victim]
+	slot = base + victim
+	v := &c.lines[slot]
 	if v.valid {
 		ev = Eviction{Addr: c.addrOf(set, v.tag), Dirty: v.dirty}
 		evicted = true
@@ -181,91 +189,70 @@ func (c *Cache) Insert(addr uint64, dirty bool) (ev Eviction, evicted bool) {
 	}
 	c.tick++
 	*v = line{tag: tag, valid: true, dirty: dirty, lru: c.tick}
-	return ev, evicted
+	return slot, ev, evicted
 }
 
 // Touch marks addr (which must be present) as most recently used and
-// optionally dirty.
-func (c *Cache) Touch(addr uint64, makeDirty bool) {
-	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
-		if l.valid && l.tag == tag {
-			c.tick++
-			l.lru = c.tick
-			if makeDirty {
-				l.dirty = true
-			}
-			return
-		}
+// optionally dirty, returning its slot.
+func (c *Cache) Touch(addr uint64, makeDirty bool) int {
+	slot := c.find(addr)
+	if slot < 0 {
+		panic(fmt.Sprintf("cache %s: Touch of absent address %#x", c.name, addr))
 	}
-	panic(fmt.Sprintf("cache %s: Touch of absent address %#x", c.name, addr))
+	l := &c.lines[slot]
+	c.tick++
+	l.lru = c.tick
+	if makeDirty {
+		l.dirty = true
+	}
+	return slot
 }
 
 // Clean clears the dirty bit of addr if present.
 func (c *Cache) Clean(addr uint64) {
-	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
-		if l.valid && l.tag == tag {
-			l.dirty = false
-			return
-		}
+	if slot := c.find(addr); slot >= 0 {
+		c.lines[slot].dirty = false
 	}
 }
 
 // Invalidate removes addr if present, returning whether it was dirty.
 func (c *Cache) Invalidate(addr uint64) (wasDirty, wasPresent bool) {
-	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
-		if l.valid && l.tag == tag {
-			wasDirty = l.dirty
-			l.valid = false
-			l.dirty = false
-			return wasDirty, true
-		}
+	slot := c.find(addr)
+	if slot < 0 {
+		return false, false
 	}
-	return false, false
+	l := &c.lines[slot]
+	wasDirty = l.dirty
+	l.valid = false
+	l.dirty = false
+	return wasDirty, true
 }
 
-// ValidLines returns the addresses of all valid lines, sets in order and
-// ways in physical order (a deterministic hardware-scan order).
-func (c *Cache) ValidLines() []uint64 {
+// scan returns the addresses of the valid lines (dirty ones only when
+// dirtyOnly is set), sets in order and ways in physical order (a
+// deterministic hardware-scan order).
+func (c *Cache) scan(dirtyOnly bool) []uint64 {
 	var out []uint64
-	for set := uint64(0); set < c.numSets; set++ {
-		for i := range c.sets[set] {
-			l := &c.sets[set][i]
-			if l.valid {
-				out = append(out, c.addrOf(set, l.tag))
-			}
+	for slot, l := range c.lines {
+		if l.valid && (l.dirty || !dirtyOnly) {
+			out = append(out, c.addrOf(uint64(slot/c.ways), l.tag))
 		}
 	}
 	return out
 }
+
+// ValidLines returns the addresses of all valid lines in scan order.
+func (c *Cache) ValidLines() []uint64 { return c.scan(false) }
 
 // DirtyLines returns the addresses of all valid dirty lines in scan order.
-func (c *Cache) DirtyLines() []uint64 {
-	var out []uint64
-	for set := uint64(0); set < c.numSets; set++ {
-		for i := range c.sets[set] {
-			l := &c.sets[set][i]
-			if l.valid && l.dirty {
-				out = append(out, c.addrOf(set, l.tag))
-			}
-		}
-	}
-	return out
-}
+func (c *Cache) DirtyLines() []uint64 { return c.scan(true) }
 
 // CountValid returns the number of valid lines.
 func (c *Cache) CountValid() int {
 	n := 0
-	for set := range c.sets {
-		for i := range c.sets[set] {
-			if c.sets[set][i].valid {
-				n++
-			}
+	for _, l := range c.lines {
+		if l.valid {
+			n++
 		}
 	}
 	return n
@@ -274,21 +261,13 @@ func (c *Cache) CountValid() int {
 // CountDirty returns the number of valid dirty lines.
 func (c *Cache) CountDirty() int {
 	n := 0
-	for set := range c.sets {
-		for i := range c.sets[set] {
-			if c.sets[set][i].valid && c.sets[set][i].dirty {
-				n++
-			}
+	for _, l := range c.lines {
+		if l.valid && l.dirty {
+			n++
 		}
 	}
 	return n
 }
 
 // InvalidateAll clears the cache (models loss of volatile state at a crash).
-func (c *Cache) InvalidateAll() {
-	for set := range c.sets {
-		for i := range c.sets[set] {
-			c.sets[set][i] = line{}
-		}
-	}
-}
+func (c *Cache) InvalidateAll() { clear(c.lines) }

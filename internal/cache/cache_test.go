@@ -6,6 +6,11 @@ import (
 	"testing/quick"
 )
 
+func contains(c *Cache, addr uint64) bool {
+	_, ok := c.Contains(addr)
+	return ok
+}
+
 func TestGeometry(t *testing.T) {
 	// Table I LLC: 16MB, 16-way, 64B blocks.
 	c := New("llc", 16<<20, 16, 64)
@@ -35,11 +40,11 @@ func TestBadGeometryPanics(t *testing.T) {
 
 func TestMissThenHit(t *testing.T) {
 	c := New("t", 4*64, 2, 64)
-	if c.Lookup(0) {
+	if _, hit := c.Lookup(0); hit {
 		t.Fatal("empty cache hit")
 	}
 	c.Insert(0, false)
-	if !c.Lookup(0) {
+	if _, hit := c.Lookup(0); !hit {
 		t.Fatal("inserted line missed")
 	}
 	st := c.Stats()
@@ -54,14 +59,14 @@ func TestLRUEviction(t *testing.T) {
 	c.Insert(0, false)
 	c.Insert(64, true)
 	c.Lookup(0) // make 0 MRU; victim should be 64
-	ev, evicted := c.Insert(128, false)
+	_, ev, evicted := c.Insert(128, false)
 	if !evicted {
 		t.Fatal("full set insert must evict")
 	}
 	if ev.Addr != 64 || !ev.Dirty {
 		t.Errorf("evicted %+v, want addr=64 dirty=true", ev)
 	}
-	if !c.Contains(0) || !c.Contains(128) || c.Contains(64) {
+	if !contains(c, 0) || !contains(c, 128) || contains(c, 64) {
 		t.Error("post-eviction contents wrong")
 	}
 	if c.Stats().DirtyEvictions != 1 {
@@ -75,7 +80,7 @@ func TestPreferCleanVictims(t *testing.T) {
 	c.SetPreferCleanVictims(true)
 	c.Insert(0, true)   // dirty, will become LRU
 	c.Insert(64, false) // clean, MRU
-	ev, evicted := c.Insert(128, false)
+	_, ev, evicted := c.Insert(128, false)
 	if !evicted {
 		t.Fatal("no eviction")
 	}
@@ -89,7 +94,7 @@ func TestPreferCleanVictims(t *testing.T) {
 	c2.SetPreferCleanVictims(true)
 	c2.Insert(0, true)
 	c2.Insert(64, true)
-	ev, _ = c2.Insert(128, false)
+	_, ev, _ = c2.Insert(128, false)
 	if ev.Addr != 0 || !ev.Dirty {
 		t.Errorf("all-dirty fallback evicted %+v, want LRU dirty line 0", ev)
 	}
@@ -97,7 +102,7 @@ func TestPreferCleanVictims(t *testing.T) {
 	c3 := New("t3", 2*64, 2, 64)
 	c3.SetPreferCleanVictims(true)
 	c3.Insert(0, true)
-	if _, evicted := c3.Insert(64, false); evicted {
+	if _, _, evicted := c3.Insert(64, false); evicted {
 		t.Error("evicted despite a free way")
 	}
 }
@@ -146,7 +151,7 @@ func TestInvalidate(t *testing.T) {
 	if !dirty || !present {
 		t.Error("Invalidate of dirty line returned wrong flags")
 	}
-	if c.Contains(0) {
+	if contains(c, 0) {
 		t.Error("line still present after Invalidate")
 	}
 	if _, present := c.Invalidate(0); present {
@@ -198,7 +203,7 @@ func TestCapacityNeverExceeded(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 1000; i++ {
 		a := uint64(rng.Intn(256)) * 64
-		if !c.Lookup(a) {
+		if _, hit := c.Lookup(a); !hit {
 			c.Insert(a, rng.Intn(2) == 0)
 		}
 		if c.CountValid() > c.Lines() {
@@ -208,30 +213,50 @@ func TestCapacityNeverExceeded(t *testing.T) {
 }
 
 // Property: after any insert/lookup sequence, every line address reported by
-// ValidLines maps back to a set/tag that round-trips (self-consistency), and
-// dirty lines are a subset of valid lines.
+// ValidLines maps back to a set/tag that round-trips (self-consistency),
+// dirty lines are a subset of valid lines, and every probe reports the slot
+// the line was inserted into: set*ways+way, shared with no other line.
 func TestConsistencyProperty(t *testing.T) {
 	f := func(ops []uint16) bool {
-		c := New("p", 8*64, 2, 64)
-		present := make(map[uint64]bool)
+		const ways, numSets = 2, 4
+		c := New("p", numSets*ways*64, ways, 64)
+		present := make(map[uint64]int) // address -> slot
 		for _, op := range ops {
 			a := uint64(op%64) * 64
-			if c.Contains(a) {
-				c.Touch(a, op&0x100 != 0)
+			if slot, ok := c.Contains(a); ok {
+				if c.Touch(a, op&0x100 != 0) != slot || present[a] != slot {
+					return false
+				}
+				if op&0x100 != 0 && !c.DirtyAt(slot) {
+					return false
+				}
 			} else {
-				ev, evicted := c.Insert(a, op&0x100 != 0)
+				slot, ev, evicted := c.Insert(a, op&0x100 != 0)
+				if slot/ways != int(a/64)%numSets {
+					return false
+				}
 				if evicted {
+					if present[ev.Addr] != slot {
+						return false // the victim's slot is the one reused
+					}
 					delete(present, ev.Addr)
 				}
-				present[a] = true
+				present[a] = slot
 			}
+		}
+		slots := make(map[int]bool)
+		for a, slot := range present {
+			if got, ok := c.Contains(a); !ok || got != slot || slots[slot] {
+				return false
+			}
+			slots[slot] = true
 		}
 		valid := c.ValidLines()
 		if len(valid) != len(present) {
 			return false
 		}
 		for _, a := range valid {
-			if !present[a] {
+			if _, ok := present[a]; !ok {
 				return false
 			}
 		}
@@ -259,10 +284,10 @@ func TestEvictionSameSetProperty(t *testing.T) {
 		c := New("p", numSets*2*64, 2, 64)
 		for _, op := range ops {
 			a := uint64(op%1024) * 64
-			if c.Contains(a) {
+			if contains(c, a) {
 				continue
 			}
-			ev, evicted := c.Insert(a, false)
+			_, ev, evicted := c.Insert(a, false)
 			if evicted && (ev.Addr/64)%numSets != (a/64)%numSets {
 				return false
 			}

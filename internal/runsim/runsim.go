@@ -268,7 +268,7 @@ func (m *Machine) memRead(addr uint64) (mem.Block, error) {
 // findLevel probes the hierarchy and returns the level holding addr, or -1.
 func (m *Machine) findLevel(addr uint64) int {
 	for i, c := range m.levels {
-		if c.Contains(addr) {
+		if _, ok := c.Contains(addr); ok {
 			return i
 		}
 	}
@@ -319,7 +319,7 @@ func (m *Machine) valueOf(addr uint64) mem.Block {
 // fillL1 inserts addr into L1 and spills victims down the hierarchy.
 func (m *Machine) fillL1(addr uint64, dirty bool, val mem.Block) error {
 	m.contents[addr] = val
-	ev, evicted := m.levels[0].Insert(addr, dirty)
+	_, ev, evicted := m.levels[0].Insert(addr, dirty)
 	level := 1
 	for evicted {
 		if level >= len(m.levels) {
@@ -334,14 +334,14 @@ func (m *Machine) fillL1(addr uint64, dirty bool, val mem.Block) error {
 			}
 			return nil
 		}
-		if m.levels[level].Contains(ev.Addr) {
+		if _, ok := m.levels[level].Contains(ev.Addr); ok {
 			// Lower level already holds the line (stale copy): refresh it.
 			if ev.Dirty {
 				m.levels[level].Touch(ev.Addr, true)
 			}
 			return nil
 		}
-		ev, evicted = m.levels[level].Insert(ev.Addr, ev.Dirty)
+		_, ev, evicted = m.levels[level].Insert(ev.Addr, ev.Dirty)
 		level++
 	}
 	return nil

@@ -17,24 +17,15 @@ func (c *Controller) checkInvariant(t *testing.T, step int) {
 	for level := 0; level < lay.RootLevel(); level++ {
 		for index := uint64(0); index < lay.LevelCount[level]; index++ {
 			addr := lay.NodeAddr(level, index)
-			var content mem.Block
-			if c.cacheFor(level).Contains(addr) {
-				content = c.logicalRead(addr)
-			} else {
-				content = c.nvm.PeekRead(addr)
-			}
+			content, _ := c.currentContent(level, index)
 			if content.IsZero() {
 				continue
 			}
 			// Parent logical entry.
 			pLevel, pIndex, slot := lay.Parent(level, index)
-			var parent mem.Block
-			if pLevel == lay.RootLevel() {
-				parent = c.root
-			} else if c.cacheFor(pLevel).Contains(lay.NodeAddr(pLevel, pIndex)) {
-				parent = c.logicalRead(lay.NodeAddr(pLevel, pIndex))
-			} else {
-				parent = c.nvm.PeekRead(lay.NodeAddr(pLevel, pIndex))
+			parent, parentCached := c.root, false
+			if pLevel != lay.RootLevel() {
+				parent, parentCached = c.currentContent(pLevel, pIndex)
 			}
 			expected := entryOf(parent, slot)
 			if c.cacheFor(level).IsDirty(addr) {
@@ -43,14 +34,24 @@ func (c *Controller) checkInvariant(t *testing.T, step int) {
 			if expected == zeroMAC {
 				t.Fatalf("step %d: node (%d,%d) nonzero but parent entry zero (node dirty=%v, parent cached=%v)",
 					step, level, index,
-					c.cacheFor(level).IsDirty(addr),
-					pLevel != lay.RootLevel() && c.cacheFor(pLevel).Contains(lay.NodeAddr(pLevel, pIndex)))
+					c.cacheFor(level).IsDirty(addr), parentCached)
 			}
 			if c.eng.NodeMAC(level, index, content) != expected {
 				t.Fatalf("step %d: node (%d,%d) MAC mismatch vs parent entry", step, level, index)
 			}
 		}
 	}
+}
+
+// currentContent returns the logical content of node (level, index) and
+// whether it is cached: the cached content if so, otherwise the NVM copy.
+func (c *Controller) currentContent(level int, index uint64) (mem.Block, bool) {
+	addr := c.lay.NodeAddr(level, index)
+	ca := c.cacheFor(level)
+	if slot, ok := ca.Contains(addr); ok {
+		return c.logicalRead(ca, slot, addr), true
+	}
+	return c.nvm.PeekRead(addr), false
 }
 
 func TestInvariantUnderChurn(t *testing.T) {

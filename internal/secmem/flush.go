@@ -137,8 +137,11 @@ func (c *Controller) flushToVault(now sim.Time) (VaultRecord, sim.Time) {
 // caches in a deterministic order (by address).
 func (c *Controller) dirtyLinesOrdered() []VaultLine {
 	var out []VaultLine
-	for addr, content := range c.dirtyLine {
-		out = append(out, VaultLine{Addr: addr, Content: content})
+	for _, ca := range []*metaCache{&c.ctrCache, &c.macCache, &c.treeCache} {
+		for _, addr := range ca.DirtyLines() {
+			slot, _ := ca.Contains(addr)
+			out = append(out, VaultLine{Addr: addr, Content: ca.payload(slot)})
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
 	return out
@@ -147,7 +150,6 @@ func (c *Controller) dirtyLinesOrdered() []VaultLine {
 // cleanLine clears the dirty state of a metadata line after it has been
 // made persistent (in place or in the vault).
 func (c *Controller) cleanLine(addr uint64) {
-	delete(c.dirtyLine, addr)
 	level, _, isNode := c.lay.Coord(addr)
 	switch {
 	case isNode:
@@ -166,13 +168,13 @@ func (c *Controller) cleanLine(addr uint64) {
 func (c *Controller) ReinstallMetadata(lines []VaultLine) {
 	for _, line := range lines {
 		level, _, isNode := c.lay.Coord(line.Addr)
-		var ca = c.macCache
+		ca := &c.macCache
 		if isNode {
 			ca = c.cacheFor(level)
 		} else if c.lay.RegionOf(line.Addr) != bmt.RegionMAC {
 			panic(fmt.Sprintf("secmem: reinstalling unexpected address %#x", line.Addr))
 		}
-		if ca.Contains(line.Addr) {
+		if _, ok := ca.Contains(line.Addr); ok {
 			c.markDirty(ca, line.Addr, line.Content)
 			continue
 		}

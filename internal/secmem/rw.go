@@ -24,7 +24,7 @@ func (c *Controller) WriteBlock(now sim.Time, addr uint64, plain mem.Block) (sim
 	slot := cme.CounterIndex(addr)
 	overflowed := cb.Increment(slot)
 	newRaw := cb.Encode()
-	c.markDirty(c.ctrCache, ctrAddr, newRaw)
+	c.markDirty(&c.ctrCache, ctrAddr, newRaw)
 
 	if n := c.cfg.OsirisStopLoss; n > 0 && (overflowed || cb.Counter(slot)%uint64(n) == 0) {
 		// Osiris stop-loss: persist the counter block so the NVM copy
@@ -61,7 +61,7 @@ func (c *Controller) WriteBlock(now sim.Time, addr uint64, plain mem.Block) (sim
 	tMAC := c.issueMAC(sim.MaxTime(tAES, t2), MACData)
 	m := c.eng.DataMAC(addr, counter, ct)
 	setEntry(&macBlk, cme.MACSlot(addr), m)
-	c.markDirty(c.macCache, macBlockAddr, macBlk)
+	c.markDirty(&c.macCache, macBlockAddr, macBlk)
 
 	if c.cfg.OsirisStopLoss > 0 {
 		// Osiris co-locates the MAC with the data (ECC bits), so the MAC
@@ -138,7 +138,7 @@ func (c *Controller) reencryptRegion(now sim.Time, triggerAddr uint64, old, upd 
 		macBlk, tt := c.ensureMACBlock(tt, macBlockAddr)
 		tt = c.issueMAC(tt, MACData)
 		setEntry(&macBlk, cme.MACSlot(blockAddr), c.eng.DataMAC(blockAddr, newCtr, nct))
-		c.markDirty(c.macCache, macBlockAddr, macBlk)
+		c.markDirty(&c.macCache, macBlockAddr, macBlk)
 		if c.cfg.OsirisStopLoss > 0 {
 			c.nvm.Write(tt, macBlockAddr, macBlk, mem.CatMAC)
 		}
