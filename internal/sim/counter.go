@@ -11,44 +11,46 @@ import (
 // type, MAC calculations by purpose). Categories appear in the order they
 // are first incremented, which keeps reports stable for a deterministic run.
 //
-// Add is on the simulator's per-memory-access hot path, so values live in a
-// slice indexed by a name→index map rather than directly in a string-keyed
-// map, and the last-hit index is cached: runs of accesses in the same
-// category (the common case in a drain loop, where the name is a constant
-// string compared pointer-first) skip the hash entirely.
+// Add is on the simulator's per-memory-access hot path. Every set holds a
+// handful of constant category names, so a linear search of that short list
+// replaces a hash map, and the last-hit index is cached: runs of accesses in
+// the same category (the common case in a drain loop, where the name is a
+// constant string compared pointer-first) skip even the search.
 type CounterSet struct {
 	order []string
 	vals  []int64
-	index map[string]int
-	last  string // name of the most recently added category
-	lasti int    // its index in vals
+	last  int // index of the most recently added category
 }
 
 // NewCounterSet returns an empty counter set.
-func NewCounterSet() *CounterSet {
-	return &CounterSet{index: make(map[string]int), lasti: -1}
+func NewCounterSet() *CounterSet { return &CounterSet{} }
+
+func (cs *CounterSet) find(name string) int {
+	for i, n := range cs.order {
+		if n == name {
+			return i
+		}
+	}
+	return -1
 }
 
 // Add increments the named counter by n, creating it if needed.
 func (cs *CounterSet) Add(name string, n int64) {
-	if cs.lasti >= 0 && name == cs.last {
-		cs.vals[cs.lasti] += n
-		return
-	}
-	i, ok := cs.index[name]
-	if !ok {
-		i = len(cs.vals)
-		cs.index[name] = i
-		cs.order = append(cs.order, name)
-		cs.vals = append(cs.vals, 0)
+	i := cs.last
+	if i >= len(cs.order) || cs.order[i] != name {
+		if i = cs.find(name); i < 0 {
+			i = len(cs.vals)
+			cs.order = append(cs.order, name)
+			cs.vals = append(cs.vals, 0)
+		}
+		cs.last = i
 	}
 	cs.vals[i] += n
-	cs.last, cs.lasti = name, i
 }
 
 // Get returns the value of the named counter (zero if absent).
 func (cs *CounterSet) Get(name string) int64 {
-	if i, ok := cs.index[name]; ok {
+	if i := cs.find(name); i >= 0 {
 		return cs.vals[i]
 	}
 	return 0
