@@ -515,3 +515,47 @@ func TestTimingAdvances(t *testing.T) {
 		t.Error("crypto engine timing did not advance")
 	}
 }
+
+// TestTinyDirectMappedCachesNoFalseTamper drives a lazy controller whose
+// metadata caches hold only two to four direct-mapped lines. A node fetch's
+// parent walk then cascades into evictions that load, update and write back
+// the very node being fetched, so the copy read before the walk is stale by
+// the time it is verified. That must not be reported as tamper.
+func TestTinyDirectMappedCachesNoFalseTamper(t *testing.T) {
+	lay := bmt.NewLayout(bmt.Config{
+		DataSize:    64 << 20,
+		CHVCapacity: 4096,
+		VaultBlocks: 20000,
+	})
+	nvm := mem.NewController(mem.DefaultConfig())
+	cfg := DefaultConfig()
+	cfg.Scheme = LazyUpdate
+	cfg.CacheWays = 1
+	cfg.CounterCacheBytes = 128
+	cfg.TreeCacheBytes = 192
+	cfg.MACCacheBytes = 256
+	c := New(cfg, lay, cme.NewEngine(1), nvm)
+	rng := rand.New(rand.NewSource(3))
+	addrs := make([]uint64, 16)
+	want := map[uint64]mem.Block{}
+	var now sim.Time
+	for i := range addrs {
+		addrs[i] = uint64(rng.Intn(512)) * 4096
+		done, err := c.WriteBlock(now, addrs[i], block(byte(i)))
+		if err != nil {
+			t.Fatalf("op %d: write %#x: %v", i, addrs[i], err)
+		}
+		want[addrs[i]] = block(byte(i))
+		now = done
+	}
+	for _, addr := range addrs {
+		got, done, err := c.ReadBlock(now, addr)
+		if err != nil {
+			t.Fatalf("read %#x: %v", addr, err)
+		}
+		if got != want[addr] {
+			t.Fatalf("read %#x: content mismatch", addr)
+		}
+		now = done
+	}
+}
