@@ -50,3 +50,28 @@ func drainAllocs(t *testing.T, scheme Scheme, procs int) float64 {
 	sort.Float64s(counts)
 	return counts[len(counts)/2]
 }
+
+// TestWorkloadSystemBuildBytes pins that building a test-scale run-time
+// machine costs what the machine uses, not a paper-sized NVM store: one
+// NewWorkloadSystem at TestConfig allocates at most 256 KiB for every
+// secure scheme. Crash-matrix cells each build one, so a store pre-sized
+// for a full-hierarchy drain used to dominate the matrix's allocation.
+func TestWorkloadSystemBuildBytes(t *testing.T) {
+	const limit = 256 << 10
+	for _, scheme := range AllSchemes() {
+		if !scheme.Secure() {
+			continue
+		}
+		res := testing.Benchmark(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				NewWorkloadSystem(TestConfig(), scheme, DomainEPD)
+			}
+		})
+		got := res.AllocedBytesPerOp()
+		t.Logf("%v: %d KiB per build", scheme, got>>10)
+		if got > limit {
+			t.Errorf("%v: NewWorkloadSystem allocates %d KiB per build, want at most %d KiB",
+				scheme, got>>10, limit>>10)
+		}
+	}
+}

@@ -264,7 +264,9 @@ type System struct {
 // drain, the key engine, and — when withSec — the secure memory controller,
 // with metrics/timeline/timeseries plumbing attached under the given label
 // pairs. NewSystem, NewWorkloadSystem and the litmus materialiser all build
-// on it, so a replayed image lands in a byte-identical layout.
+// on it, so a replayed image lands in a byte-identical layout. The NVM store
+// starts empty and grows on demand; only NewSystem, whose Fill dirties every
+// hierarchy line, pre-sizes it.
 func newCoreSystem(cfg Config, scheme Scheme, withSec bool, labels ...string) (*core.System, hierarchy.Config) {
 	hcfg := cfg.hierarchyConfig()
 	lines := uint64(hcfg.TotalLines())
@@ -276,11 +278,6 @@ func newCoreSystem(cfg Config, scheme Scheme, withSec bool, labels ...string) (*
 		VaultBlocks: metaLines*2 + 32,
 	})
 	nvm := mem.NewController(cfg.Mem)
-	// Pre-size the sparse store for the drain's worst-case footprint: every
-	// hierarchy line lands in the CHV (data + address + MAC blocks ≈ 5/4 per
-	// line) plus its counter/tree/MAC metadata; repeated table growth during
-	// the write burst would otherwise dominate the simulator's own time.
-	nvm.Reserve(int(lines+lines/4) + 4096)
 	enc := cme.NewEngine(cfg.KeySeed)
 	var sec *secmem.Controller
 	if withSec {
@@ -304,11 +301,18 @@ func newCoreSystem(cfg Config, scheme Scheme, withSec bool, labels ...string) (*
 	return cs, hcfg
 }
 
-// NewSystem builds the machine: NVM, metadata layout sized for the
-// hierarchy's worst-case drain, key engine, secure memory controller (for
-// secure schemes) and drainer.
+// NewSystem builds the machine: NVM with its store pre-sized for the
+// hierarchy's worst-case drain, metadata layout, key engine, secure memory
+// controller (for secure schemes) and drainer.
 func NewSystem(cfg Config, scheme Scheme) *System {
 	cs, hcfg := newCoreSystem(cfg, scheme, true, "scheme", scheme.String())
+	// Pre-size the sparse store for the drain's worst-case footprint: Fill
+	// dirties every hierarchy line, each of which lands in the CHV (data +
+	// address + MAC blocks ≈ 5/4 per line) plus its counter/tree/MAC
+	// metadata; repeated table growth during the write burst would otherwise
+	// dominate the simulator's own time.
+	lines := hcfg.TotalLines()
+	cs.NVM.Reserve(lines + lines/4 + 4096)
 	return &System{
 		Config:    cfg,
 		Scheme:    scheme,

@@ -18,8 +18,12 @@ type addrMap[V any] struct {
 	n    int
 }
 
-// addrMapMinSlots is the initial slot count of a lazily grown table.
-const addrMapMinSlots = 256
+// addrMapMinSlots is the initial slot count of a lazily grown table. It is
+// small on purpose: a controller's store has one table per bank, and a
+// test-scale machine stores a few dozen blocks in all, so a larger first
+// allocation would cost more than the machine ever uses. Large footprints
+// reserve up front or grow by doubling.
+const addrMapMinSlots = 16
 
 // hashAddr spreads a block address over the slot space: the address is
 // reduced to its block number (low six bits are alignment zeros) and mixed

@@ -174,7 +174,8 @@ func (c *Controller) SetTimeline(rec *timeline.Recorder) {
 func (c *Controller) Store() *Store { return c.store }
 
 // Reserve pre-sizes the backing store (fused block content + wear entries)
-// for an expected footprint of n populated blocks (see Store.Reserve).
+// for an expected footprint of n populated blocks (see Store.Reserve);
+// without it the store grows on demand.
 func (c *Controller) Reserve(n int) {
 	c.store.Reserve(n)
 }

@@ -42,9 +42,12 @@ type storeEntry struct {
 // The controller's table is partitioned into per-bank shards using its bank
 // interleaving (bankOf); a single-shard store (NewStore) behaves
 // identically. Every writer is serial, so the partition is purely a memory
-// layout, kept on measurement: one table lowers a crash matrix's
-// allocation but raises a paper-scale Horus-SLM episode's peak RSS by about
-// a third (DESIGN.md §13).
+// layout, kept on measurement (DESIGN.md §13).
+//
+// A store costs what it holds: each shard's table starts small on first
+// touch and doubles as it fills. Only a machine that knows its footprint up
+// front — horus.NewSystem, whose Fill dirties the whole hierarchy — calls
+// Reserve.
 type Store struct {
 	shards []addrMap[storeEntry]
 }
@@ -131,11 +134,13 @@ func (s *Store) Populated() int {
 	return n
 }
 
-// Reserve pre-sizes the store for at least n populated blocks, so the
-// drain's write burst doesn't pay repeated table-growth rehashes. It never
-// shrinks and is safe at any time. The reservation assumes blocks spread
-// roughly evenly across shards (they do: bankOf interleaves), with slack so
-// moderate imbalance still avoids rehashing.
+// Reserve pre-sizes the store for at least n populated blocks, so a known
+// write burst (a full-hierarchy drain) doesn't pay repeated table-growth
+// rehashes. It allocates and zeroes the whole reservation at once, so it is
+// for footprints known to be large; a store left unreserved grows on
+// demand. It never shrinks and is safe at any time. The reservation assumes
+// blocks spread roughly evenly across shards (they do: bankOf interleaves),
+// with slack so moderate imbalance still avoids rehashing.
 func (s *Store) Reserve(n int) {
 	per := n
 	if len(s.shards) > 1 {
