@@ -1,11 +1,11 @@
 // Command horus-perfbench runs the statistical benchmark harness over the
 // simulator's hot paths: each registered episode (all-scheme drains, a sweep
 // smoke, a torture smoke, substrate microbenchmarks) runs N times (default
-// 7) and the median/p10/p90 wall time plus per-episode allocation counts are
-// written as BENCH_horus.json. Against a committed baseline the run becomes
-// a regression gate: a median more than -fail (30%) slower — or any
-// allocation-count growth past -warn, allocations being deterministic —
-// exits 1; growth past -warn (10%) prints a warning.
+// 7) and the median/p10/p90 wall time plus per-episode allocation counts and
+// bytes are written as BENCH_horus.json. Against a committed baseline the
+// run becomes a regression gate: a median more than -fail (30%) slower — or
+// any growth past -warn in allocation count or bytes, allocations being
+// deterministic — exits 1; time growth past -warn (10%) prints a warning.
 //
 // Examples:
 //

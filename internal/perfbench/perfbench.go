@@ -5,10 +5,10 @@
 // counts — so a committed baseline can catch regressions without the noise
 // sensitivity of a single-shot ns/op figure.
 //
-// Wall-clock on shared CI hardware jitters by 10%+; allocation counts are
-// deterministic. The comparison logic therefore treats time medians with
-// wide thresholds (warn/fail ratios) while allocation regressions of the
-// same magnitude are flagged from a single run.
+// Wall-clock on shared CI hardware jitters by 10%+; allocation counts and
+// bytes are deterministic. The comparison logic therefore treats time
+// medians with wide thresholds (warn/fail ratios) while allocation
+// regressions of the same magnitude are flagged from a single run.
 package perfbench
 
 import (
@@ -263,20 +263,24 @@ type Delta struct {
 	TimeRatio  float64 `json:"time_ratio"`
 	BaseAllocs uint64  `json:"base_allocs_per_op"`
 	CurAllocs  uint64  `json:"cur_allocs_per_op"`
+	BaseBytes  uint64  `json:"base_bytes_per_op"`
+	CurBytes   uint64  `json:"cur_bytes_per_op"`
 }
 
 // Compare evaluates cur against base: a benchmark regresses when its median
 // wall time grows by more than warn (fraction, e.g. 0.10) or fail (e.g.
-// 0.30). Allocation growth is held to the same ratios; because allocation
-// counts are deterministic, an alloc regression at the warn ratio is already
-// scored as a failure. Benchmarks present on only one side are reported as
-// new/missing and never fail the comparison.
+// 0.30). Allocation growth, in count and in bytes, is held to the same
+// ratios; because both are deterministic, growth of either past the warn
+// ratio is already scored as a failure. Bytes are gated on their own since
+// a few large allocations (an oversized table) can inflate them many times
+// over while the count barely moves. Benchmarks present on only one side
+// are reported as new/missing and never fail the comparison.
 func Compare(base, cur *Report, warn, fail float64) []Delta {
 	var out []Delta
 	for i := range cur.Results {
 		c := &cur.Results[i]
 		b := base.find(c.Name)
-		d := Delta{Name: c.Name, CurMedianNs: c.MedianNs, CurAllocs: c.AllocsPerOp}
+		d := Delta{Name: c.Name, CurMedianNs: c.MedianNs, CurAllocs: c.AllocsPerOp, CurBytes: c.BytesPerOp}
 		if b == nil {
 			d.Status = StatusNew
 			out = append(out, d)
@@ -284,6 +288,7 @@ func Compare(base, cur *Report, warn, fail float64) []Delta {
 		}
 		d.BaseMedianNs = b.MedianNs
 		d.BaseAllocs = b.AllocsPerOp
+		d.BaseBytes = b.BytesPerOp
 		if b.MedianNs > 0 {
 			d.TimeRatio = c.MedianNs / b.MedianNs
 		}
@@ -291,8 +296,9 @@ func Compare(base, cur *Report, warn, fail float64) []Delta {
 		switch {
 		case d.TimeRatio > 1+fail:
 			d.Status = StatusFail
-		case allocRatio(c.AllocsPerOp, b.AllocsPerOp) > 1+warn:
-			d.Status = StatusFail // deterministic metric: no noise excuse
+		case allocRatio(c.AllocsPerOp, b.AllocsPerOp) > 1+warn,
+			allocRatio(c.BytesPerOp, b.BytesPerOp) > 1+warn:
+			d.Status = StatusFail // deterministic metrics: no noise excuse
 		case d.TimeRatio > 1+warn:
 			d.Status = StatusWarn
 		}
@@ -303,6 +309,7 @@ func Compare(base, cur *Report, warn, fail float64) []Delta {
 			out = append(out, Delta{
 				Name: base.Results[i].Name, Status: StatusMissing,
 				BaseMedianNs: base.Results[i].MedianNs, BaseAllocs: base.Results[i].AllocsPerOp,
+				BaseBytes: base.Results[i].BytesPerOp,
 			})
 		}
 	}
@@ -332,14 +339,16 @@ func AnyFail(deltas []Delta) bool {
 
 // FormatDeltas renders the comparison as an aligned text table.
 func FormatDeltas(w io.Writer, deltas []Delta) {
-	fmt.Fprintf(w, "%-40s %-8s %12s %12s %8s %12s %12s\n",
-		"benchmark", "status", "base-median", "cur-median", "time-x", "base-allocs", "cur-allocs")
+	fmt.Fprintf(w, "%-40s %-8s %12s %12s %8s %12s %12s %12s %12s\n",
+		"benchmark", "status", "base-median", "cur-median", "time-x",
+		"base-allocs", "cur-allocs", "base-bytes", "cur-bytes")
 	for _, d := range deltas {
 		ratio := "-"
 		if d.TimeRatio > 0 {
 			ratio = fmt.Sprintf("%.3f", d.TimeRatio)
 		}
-		fmt.Fprintf(w, "%-40s %-8s %12s %12s %8s %12d %12d\n",
-			d.Name, d.Status, fmtNs(d.BaseMedianNs), fmtNs(d.CurMedianNs), ratio, d.BaseAllocs, d.CurAllocs)
+		fmt.Fprintf(w, "%-40s %-8s %12s %12s %8s %12d %12d %12d %12d\n",
+			d.Name, d.Status, fmtNs(d.BaseMedianNs), fmtNs(d.CurMedianNs), ratio,
+			d.BaseAllocs, d.CurAllocs, d.BaseBytes, d.CurBytes)
 	}
 }

@@ -175,6 +175,37 @@ func TestCompareStatuses(t *testing.T) {
 	}
 }
 
+// TestCompareFailsOnByteGrowth pins the bytes/op gate: an episode whose
+// allocation count barely moves but whose allocated bytes grow past the
+// warn ratio fails, as a store pre-sized far beyond its use once inflated
+// torture/smoke's bytes 16-fold with allocs/op moving 1.5%. Bytes growth
+// within the warn ratio passes.
+func TestCompareFailsOnByteGrowth(t *testing.T) {
+	base := mkReport(
+		Result{Name: "inflated", MedianNs: 1000, AllocsPerOp: 38505, BytesPerOp: 23 << 20},
+		Result{Name: "steady", MedianNs: 1000, AllocsPerOp: 38505, BytesPerOp: 23 << 20},
+	)
+	cur := mkReport(
+		Result{Name: "inflated", MedianNs: 1000, AllocsPerOp: 39075, BytesPerOp: 372 << 20},
+		Result{Name: "steady", MedianNs: 1000, AllocsPerOp: 38505, BytesPerOp: 24 << 20},
+	)
+	deltas := Compare(base, cur, 0.10, 0.30)
+	want := map[string]string{"inflated": StatusFail, "steady": StatusOK}
+	for _, d := range deltas {
+		if d.Status != want[d.Name] {
+			t.Errorf("%s: status %q, want %q", d.Name, d.Status, want[d.Name])
+		}
+		if d.BaseBytes != 23<<20 || d.CurBytes == 0 {
+			t.Errorf("%s: bytes %d -> %d not carried into the delta", d.Name, d.BaseBytes, d.CurBytes)
+		}
+	}
+	var buf bytes.Buffer
+	FormatDeltas(&buf, deltas)
+	if !strings.Contains(buf.String(), "cur-bytes") || !strings.Contains(buf.String(), "390070272") {
+		t.Errorf("formatted table missing the bytes columns:\n%s", buf.String())
+	}
+}
+
 // TestCompareOneSidedNeverFails pins the promise the status values exist
 // for: a benchmark present on only one side — newly added, or retired —
 // is reported (StatusNew / StatusMissing) but can never fail the gate, so
