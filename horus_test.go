@@ -2,6 +2,8 @@ package horus
 
 import (
 	"errors"
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -100,11 +102,65 @@ func TestEndToEndRecoveryBothHorusSchemes(t *testing.T) {
 		if sys.Hierarchy.DirtyCount() != len(golden) {
 			t.Fatalf("%v: hierarchy has %d blocks, want %d", s, sys.Hierarchy.DirtyCount(), len(golden))
 		}
-		for addr, want := range golden {
-			got, ok := sys.Hierarchy.Read(addr)
-			if !ok || got != want {
-				t.Fatalf("%v: block %#x wrong after recovery", s, addr)
+		for _, b := range sys.Hierarchy.DirtyBlocks() {
+			if want, ok := golden[b.Addr]; !ok || b.Data != want {
+				t.Fatalf("%v: block %#x wrong after recovery", s, b.Addr)
 			}
+		}
+	}
+}
+
+// TestDirtyImageNotAliased pins that the hierarchy's dirty image is its
+// own: sorting and editing the slice DirtyBlocks returns, or editing the
+// recovered HorusResult.Blocks, changes neither the refilled hierarchy nor
+// the next drain's result.
+func TestDirtyImageNotAliased(t *testing.T) {
+	episode := func(meddle bool) (string, []DirtyBlock) {
+		sys := NewSystem(TestConfig(), HorusSLM)
+		if err := sys.Warmup(); err != nil {
+			t.Fatal(err)
+		}
+		sys.Fill()
+		if meddle {
+			blocks := sys.Hierarchy.DirtyBlocks()
+			sort.Slice(blocks, func(i, j int) bool { return blocks[i].Addr > blocks[j].Addr })
+			blocks[0].Data[0] ^= 0xff
+		}
+		res, err := sys.Drain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.Crash()
+		rec, err := sys.Recover(res.Persist)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if meddle {
+			recovered := rec.Horus.Blocks
+			for i := range recovered {
+				recovered[i].Data[0] ^= 0xff
+			}
+			sort.Slice(recovered, func(i, j int) bool { return recovered[i].Addr > recovered[j].Addr })
+		}
+		image := sys.Hierarchy.DirtyBlocks()
+		next, err := sys.Drain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%d %d %d %v %v %v %+v", int64(res.DrainTime), int64(next.DrainTime),
+			next.BlocksDrained, next.MemReads, next.MemWrites, next.MACCalcs, next.Persist), image
+	}
+	wantRes, wantImage := episode(false)
+	gotRes, gotImage := episode(true)
+	if gotRes != wantRes {
+		t.Errorf("drain results differ:\n got %s\nwant %s", gotRes, wantRes)
+	}
+	if len(gotImage) != len(wantImage) {
+		t.Fatalf("refilled image has %d blocks, want %d", len(gotImage), len(wantImage))
+	}
+	for i := range wantImage {
+		if gotImage[i] != wantImage[i] {
+			t.Fatalf("refilled block %d differs (%#x, want %#x)", i, gotImage[i].Addr, wantImage[i].Addr)
 		}
 	}
 }
