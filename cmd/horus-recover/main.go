@@ -144,8 +144,8 @@ func main() {
 	fmt.Printf("recovered in %v\n", rec.Time())
 	if scheme.UsesCHV() {
 		ok := 0
-		for addr, want := range golden {
-			if got, found := sys.Hierarchy.Read(addr); found && got == want {
+		for _, b := range sys.Hierarchy.DirtyBlocks() {
+			if want, found := golden[b.Addr]; found && b.Data == want {
 				ok++
 			}
 		}

@@ -379,11 +379,10 @@ func (s *System) Drain() (Result, error) {
 	if !s.filled {
 		return Result{}, fmt.Errorf("horus: Drain before Fill")
 	}
-	blocks := s.Hierarchy.DirtyBlocks()
 	if s.Config.FlushShuffle {
-		blocks = s.Hierarchy.DirtyBlocksShuffled(rand.New(rand.NewSource(s.Config.Seed ^ 0x0f1a)))
+		return s.drainer.Drain(s.Hierarchy.DirtyBlocksShuffled(rand.New(rand.NewSource(s.Config.Seed ^ 0x0f1a))))
 	}
-	return s.drainer.Drain(blocks)
+	return s.drainer.Drain(s.Hierarchy.DirtyBlocks())
 }
 
 // Crash models the loss of power after a drain: cache hierarchy and

@@ -15,8 +15,10 @@
 package hierarchy
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/mem"
 )
@@ -68,11 +70,14 @@ type DirtyBlock struct {
 	Data mem.Block
 }
 
-// Hierarchy holds the dirty contents of the cache hierarchy.
+// Hierarchy holds the dirty contents of the cache hierarchy as one
+// insertion-ordered slice of dirty blocks, each address at most once. Fill
+// and refill write the slice directly; only Write and Read, which look a
+// block up by address, build an address index, on first use.
 type Hierarchy struct {
-	cfg   Config
-	data  map[uint64]mem.Block
-	order []uint64 // insertion order, for deterministic iteration
+	cfg    Config
+	blocks []DirtyBlock
+	index  map[uint64]int // address -> position in blocks; nil until needed
 }
 
 // New returns an empty hierarchy.
@@ -80,7 +85,7 @@ func New(cfg Config) *Hierarchy {
 	if len(cfg.Levels) == 0 {
 		panic("hierarchy: config needs at least one level")
 	}
-	return &Hierarchy{cfg: cfg, data: make(map[uint64]mem.Block)}
+	return &Hierarchy{cfg: cfg}
 }
 
 // Config returns the hierarchy's configuration.
@@ -91,37 +96,83 @@ func (h *Hierarchy) Write(addr uint64, data mem.Block) {
 	if addr%mem.BlockSize != 0 {
 		panic(fmt.Sprintf("hierarchy: unaligned address %#x", addr))
 	}
-	if _, ok := h.data[addr]; !ok {
-		if len(h.data) >= h.cfg.TotalLines() {
-			panic("hierarchy: dirty blocks exceed total line capacity")
-		}
-		h.order = append(h.order, addr)
+	if i, ok := h.lookup(addr); ok {
+		h.blocks[i].Data = data
+		return
 	}
-	h.data[addr] = data
+	if len(h.blocks) >= h.cfg.TotalLines() {
+		panic("hierarchy: dirty blocks exceed total line capacity")
+	}
+	h.index[addr] = len(h.blocks)
+	h.blocks = append(h.blocks, DirtyBlock{Addr: addr, Data: data})
 }
 
 // Read returns the content of a dirty block, if present.
 func (h *Hierarchy) Read(addr uint64) (mem.Block, bool) {
-	b, ok := h.data[addr]
-	return b, ok
+	if i, ok := h.lookup(addr); ok {
+		return h.blocks[i].Data, true
+	}
+	return mem.Block{}, false
+}
+
+// lookup returns addr's position in blocks, building the index on first use.
+func (h *Hierarchy) lookup(addr uint64) (int, bool) {
+	if h.index == nil {
+		h.index = make(map[uint64]int, len(h.blocks))
+		for i, b := range h.blocks {
+			h.index[b.Addr] = i
+		}
+	}
+	i, ok := h.index[addr]
+	return i, ok
 }
 
 // DirtyCount returns the number of dirty blocks.
-func (h *Hierarchy) DirtyCount() int { return len(h.data) }
+func (h *Hierarchy) DirtyCount() int { return len(h.blocks) }
 
 // Clear models the loss of the (volatile) cache arrays, e.g. after draining
-// completes and power is lost.
+// completes and power is lost. The image's storage is kept for a refill.
 func (h *Hierarchy) Clear() {
-	h.data = make(map[uint64]mem.Block)
-	h.order = nil
+	h.blocks = h.blocks[:0]
+	h.index = nil
 }
 
-// DirtyBlocks returns the dirty blocks in insertion order.
-func (h *Hierarchy) DirtyBlocks() []DirtyBlock {
-	out := make([]DirtyBlock, 0, len(h.order))
-	for _, a := range h.order {
-		out = append(out, DirtyBlock{Addr: a, Data: h.data[a]})
+// Refill installs blocks as dirty lines with the result of writing them in
+// order: an address named twice keeps its first position and its last
+// content. Into an empty hierarchy, the blocks are copied in one pass;
+// only a list that repeats an address goes through Write.
+func (h *Hierarchy) Refill(blocks []DirtyBlock) {
+	if len(h.blocks) == 0 && len(blocks) <= h.cfg.TotalLines() && distinctAligned(blocks) {
+		h.blocks = append(h.blocks, blocks...)
+		h.index = nil
+		return
 	}
+	for _, b := range blocks {
+		h.Write(b.Addr, b.Data)
+	}
+}
+
+// distinctAligned reports whether the blocks' addresses are 64-byte aligned
+// and pairwise distinct, by sorting a copy of them.
+func distinctAligned(blocks []DirtyBlock) bool {
+	addrs := make([]uint64, len(blocks))
+	for i, b := range blocks {
+		addrs[i] = b.Addr
+	}
+	slices.Sort(addrs)
+	for i, a := range addrs {
+		if a%mem.BlockSize != 0 || i > 0 && a == addrs[i-1] {
+			return false
+		}
+	}
+	return true
+}
+
+// DirtyBlocks returns a copy of the dirty blocks in insertion order; the
+// caller owns it.
+func (h *Hierarchy) DirtyBlocks() []DirtyBlock {
+	out := make([]DirtyBlock, len(h.blocks))
+	copy(out, h.blocks)
 	return out
 }
 
@@ -137,9 +188,9 @@ func (h *Hierarchy) DirtyBlocksShuffled(rng *rand.Rand) []DirtyBlock {
 // Golden returns a copy of the dirty contents keyed by address, used by
 // end-to-end tests to check recovery.
 func (h *Hierarchy) Golden() map[uint64]mem.Block {
-	out := make(map[uint64]mem.Block, len(h.data))
-	for a, b := range h.data {
-		out[a] = b
+	out := make(map[uint64]mem.Block, len(h.blocks))
+	for _, b := range h.blocks {
+		out[b.Addr] = b.Data
 	}
 	return out
 }
@@ -178,11 +229,14 @@ const SparseSlotBytes = 16 << 10
 // the paper's Fig. 6).
 func (h *Hierarchy) FillAllDirty(opt FillOptions) int {
 	n := h.cfg.TotalLines()
-	if len(h.data) != 0 {
+	if len(h.blocks) != 0 {
 		panic("hierarchy: FillAllDirty on a non-empty hierarchy")
 	}
 	rng := rand.New(rand.NewSource(opt.Seed))
-	addrs := make([]uint64, 0, n)
+	// Every pattern yields distinct addresses, so the blocks go straight
+	// into the image. Addresses are drawn before data: the rng stream is
+	// all slot choices, then all block contents.
+	blocks := slices.Grow(h.blocks, n)[:n]
 	switch opt.Pattern {
 	case PatternWorstCaseSparse:
 		slots := opt.DataSize / SparseSlotBytes
@@ -196,14 +250,14 @@ func (h *Hierarchy) FillAllDirty(opt FillOptions) int {
 			j := uint64(i) + uint64(rng.Int63n(int64(slots-uint64(i))))
 			vi, vj := valueAt(swap, uint64(i)), valueAt(swap, j)
 			swap[uint64(i)], swap[j] = vj, vi
-			addrs = append(addrs, vj*SparseSlotBytes)
+			blocks[i].Addr = vj * SparseSlotBytes
 		}
 	case PatternDense:
 		if uint64(n)*mem.BlockSize > opt.DataSize {
 			panic("hierarchy: dense fill exceeds data region")
 		}
 		for i := 0; i < n; i++ {
-			addrs = append(addrs, uint64(i)*mem.BlockSize)
+			blocks[i].Addr = uint64(i) * mem.BlockSize
 		}
 	case PatternStride:
 		if opt.Stride == 0 || opt.Stride%mem.BlockSize != 0 {
@@ -213,14 +267,15 @@ func (h *Hierarchy) FillAllDirty(opt FillOptions) int {
 			panic("hierarchy: strided fill exceeds data region")
 		}
 		for i := 0; i < n; i++ {
-			addrs = append(addrs, uint64(i)*opt.Stride)
+			blocks[i].Addr = uint64(i) * opt.Stride
 		}
 	default:
 		panic("hierarchy: unknown fill pattern")
 	}
-	for _, a := range addrs {
-		h.Write(a, randomBlock(rng))
+	for i := range blocks {
+		randomBlock(rng, &blocks[i].Data)
 	}
+	h.blocks, h.index = blocks, nil
 	return n
 }
 
@@ -231,13 +286,9 @@ func valueAt(swap map[uint64]uint64, i uint64) uint64 {
 	return i
 }
 
-func randomBlock(rng *rand.Rand) mem.Block {
-	var b mem.Block
+// randomBlock fills b with eight little-endian rng.Uint64 words.
+func randomBlock(rng *rand.Rand, b *mem.Block) {
 	for i := 0; i < mem.BlockSize; i += 8 {
-		v := rng.Uint64()
-		for k := 0; k < 8; k++ {
-			b[i+k] = byte(v >> (8 * k))
-		}
+		binary.LittleEndian.PutUint64(b[i:], rng.Uint64())
 	}
-	return b
 }

@@ -431,9 +431,7 @@ func RecoverHorusOpts(sys *core.System, ps core.PersistentState, opt Options) (H
 // RefillHierarchy installs recovered blocks into a hierarchy as dirty lines
 // (the paper's option of reading them back into the LLC in dirty state).
 func RefillHierarchy(h *hierarchy.Hierarchy, blocks []hierarchy.DirtyBlock) {
-	for _, b := range blocks {
-		h.Write(b.Addr, b.Data)
-	}
+	h.Refill(blocks)
 }
 
 // BaselineResult reports a baseline (vault) recovery episode.
