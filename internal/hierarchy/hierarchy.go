@@ -11,7 +11,9 @@
 // The hierarchy is modelled as its *contents* (an ordered set of dirty
 // blocks with data), not as an insertion-time simulator: the paper's
 // draining study depends only on which blocks are dirty when the crash
-// hits, and platform sizing assumes all of them are.
+// hits, and platform sizing assumes all of them are. The contents are one
+// dense slice in insertion order, written once by a fill or a recovery
+// refill and copied out for each drain.
 package hierarchy
 
 import (
@@ -236,7 +238,7 @@ func (h *Hierarchy) FillAllDirty(opt FillOptions) int {
 	// Every pattern yields distinct addresses, so the blocks go straight
 	// into the image. Addresses are drawn before data: the rng stream is
 	// all slot choices, then all block contents.
-	blocks := slices.Grow(h.blocks, n)[:n]
+	blocks := make([]DirtyBlock, n)
 	switch opt.Pattern {
 	case PatternWorstCaseSparse:
 		slots := opt.DataSize / SparseSlotBytes
