@@ -151,6 +151,10 @@ func main() {
 		}
 		fmt.Printf("verified %s/%s recovered blocks match pre-crash contents\n",
 			report.Count(int64(ok)), report.Count(int64(len(golden))))
+		if n := sys.Hierarchy.DirtyCount(); ok != len(golden) || n != len(golden) {
+			fmt.Printf("ERROR: %d blocks in the hierarchy after recovery, %d of them matching; the fill left %d\n", n, ok, len(golden))
+			os.Exit(1) // an untouched image must come back exactly
+		}
 	} else {
 		fmt.Printf("metadata-cache vault re-installed (%d lines); in-place data verifies\n", res.Persist.Vault.Count)
 	}

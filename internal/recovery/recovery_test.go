@@ -413,36 +413,36 @@ func TestErrorFormatting(t *testing.T) {
 }
 
 // TestRefillHierarchyDuplicateAddress pins refill from a block list that
-// names addresses more than once, at full hierarchy capacity: each address
-// counts once and keeps its first position, the last content wins, and
-// nothing panics.
+// names addresses more than once, both well under and at full hierarchy
+// capacity: each address counts once and keeps its first position, the
+// last content wins, and nothing panics.
 func TestRefillHierarchyDuplicateAddress(t *testing.T) {
 	hcfg := testHierarchyConfig()
-	lines := hcfg.TotalLines()
-	var blocks []hierarchy.DirtyBlock
-	for i := 0; i < lines; i++ {
-		blocks = append(blocks, hierarchy.DirtyBlock{Addr: uint64(lines-i) * hierarchy.SparseSlotBytes, Data: mem.Block{0: byte(i), 1: 1}})
-	}
-	// Re-name the first, a middle and the last address, one of them twice.
-	for _, i := range []int{0, lines / 2, lines - 1, lines / 2} {
-		blocks = append(blocks, hierarchy.DirtyBlock{Addr: blocks[i].Addr, Data: mem.Block{0: byte(i), 1: byte(len(blocks))}})
-	}
-	h := hierarchy.New(hcfg)
-	RefillHierarchy(h, blocks)
-	if got := h.DirtyCount(); got != lines {
-		t.Fatalf("DirtyCount = %d, want %d", got, lines)
-	}
-	last := make(map[uint64]mem.Block)
-	for _, b := range blocks {
-		last[b.Addr] = b.Data
-	}
-	got := h.DirtyBlocks()
-	for i, b := range got {
-		if b.Addr != blocks[i].Addr {
-			t.Fatalf("block %d at %#x, want first-refill order %#x", i, b.Addr, blocks[i].Addr)
+	for _, distinct := range []int{8, hcfg.TotalLines()} {
+		var blocks []hierarchy.DirtyBlock
+		for i := 0; i < distinct; i++ {
+			blocks = append(blocks, hierarchy.DirtyBlock{Addr: uint64(distinct-i) * hierarchy.SparseSlotBytes, Data: mem.Block{0: byte(i), 1: 1}})
 		}
-		if want := last[b.Addr]; b.Data != want {
-			t.Fatalf("block %#x holds %v, want the last refilled content %v", b.Addr, b.Data[:2], want[:2])
+		// Re-name the first, a middle and the last address, one of them twice.
+		for _, i := range []int{0, distinct / 2, distinct - 1, distinct / 2} {
+			blocks = append(blocks, hierarchy.DirtyBlock{Addr: blocks[i].Addr, Data: mem.Block{0: byte(i), 1: byte(len(blocks))}})
+		}
+		h := hierarchy.New(hcfg)
+		RefillHierarchy(h, blocks)
+		if got := h.DirtyCount(); got != distinct {
+			t.Fatalf("%d distinct: DirtyCount = %d, want %d", distinct, got, distinct)
+		}
+		last := make(map[uint64]mem.Block)
+		for _, b := range blocks {
+			last[b.Addr] = b.Data
+		}
+		for i, b := range h.DirtyBlocks() {
+			if b.Addr != blocks[i].Addr {
+				t.Fatalf("%d distinct: block %d at %#x, want first-refill order %#x", distinct, i, b.Addr, blocks[i].Addr)
+			}
+			if want := last[b.Addr]; b.Data != want {
+				t.Fatalf("%d distinct: block %#x holds %v, want the last refilled content %v", distinct, b.Addr, b.Data[:2], want[:2])
+			}
 		}
 	}
 }
