@@ -5,6 +5,7 @@ import (
 	"runtime/debug"
 	"sort"
 	"testing"
+	"unsafe"
 )
 
 // TestDrainAllocsIndependentOfGOMAXPROCS pins that a drain's allocation
@@ -49,6 +50,32 @@ func drainAllocs(t *testing.T, scheme Scheme, procs int) float64 {
 	}
 	sort.Float64s(counts)
 	return counts[len(counts)/2]
+}
+
+// TestDrainReadsImageInPlace pins that System.Drain hands the drainer the
+// hierarchy's own dirty image rather than a copy. An in-order drain of the
+// 5,152-line TestConfig hierarchy under Non-Secure or Horus-SLM allocates
+// little else, so it must allocate less than the image itself (5,152 x 72
+// B); a per-drain copy of the image exceeds that on its own.
+func TestDrainReadsImageInPlace(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, scheme := range []Scheme{NonSecure, HorusSLM} {
+		sys := NewSystem(TestConfig(), scheme)
+		if err := sys.Warmup(); err != nil {
+			t.Fatal(err)
+		}
+		sys.Fill()
+		image := uint64(sys.Hierarchy.DirtyCount()) * uint64(unsafe.Sizeof(DirtyBlock{}))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := sys.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got >= image {
+			t.Errorf("%v: Drain allocated %d bytes, want less than the %d-byte dirty image", scheme, got, image)
+		}
+	}
 }
 
 // TestWorkloadSystemBuildBytes pins that building a test-scale run-time

@@ -75,8 +75,8 @@ func main() {
 		return false
 	}
 
-	// Figs. 6, 11, 12, 13 and Tables II/III share one drain per scheme; the
-	// timeline trace and attribution ride on the same set.
+	// Figs. 6, 11, 12, 13, Tables II/III and the headline are views of one
+	// drain per scheme; the timeline trace and attribution ride on it too.
 	needSet := has("fig6") || has("fig11") || has("fig12") || has("fig13") ||
 		has("table2") || has("table3") || has("headline") || tf.Enabled()
 	var set *horus.DrainSet
@@ -107,19 +107,16 @@ func main() {
 		}
 	}
 
-	if has("fig6") {
-		f := horus.Fig6{Blocks: set.Results[horus.NonSecure].BlocksDrained, Set: subset(set, horus.Fig6Schemes())}
-		emit(f.Table())
+	// view emits one table of the shared set when its experiment is asked for.
+	view := func(name string, table func() *report.Table) {
+		if has(name) {
+			emit(table())
+		}
 	}
-	if has("fig11") {
-		emit(horus.Fig11{Set: set}.Table())
-	}
-	if has("fig12") {
-		emit(horus.Fig12{Set: set}.Table())
-	}
-	if has("fig13") {
-		emit(horus.Fig13{Set: set}.Table())
-	}
+	view("fig6", horus.Fig6{Set: set}.Table)
+	view("fig11", horus.Fig11{Set: set}.Table)
+	view("fig12", horus.Fig12{Set: set}.Table)
+	view("fig13", horus.Fig13{Set: set}.Table)
 	if has("fig14") || has("fig15") {
 		sizes := horus.Fig14LLCSizes()
 		if *scaleFlag == "test" {
@@ -147,37 +144,18 @@ func main() {
 		}
 		emit(f16.Table())
 	}
-	if has("table2") || has("table3") {
-		t2 := horus.Table2{Set: subset(set, horus.Table2Schemes()), Breakdown: map[horus.Scheme]horus.EnergyBreakdown{}}
-		for _, s := range horus.Table2Schemes() {
-			t2.Breakdown[s] = cfg.EnergyOf(set.Results[s])
-		}
-		if has("table2") {
-			emit(t2.Table())
-		}
-		if has("table3") {
-			emit(horus.Table3{T2: t2}.Table())
-		}
-	}
+	view("table2", horus.Table2{Set: set}.Table)
+	view("table3", horus.Table3{Set: set}.Table)
 	if has("ablations") {
 		a, err := horus.RunAblationsCtx(ctx, cfg, opts)
 		if err != nil {
 			fatal(err)
 		}
-		emit(a.FillPattern)
-		emit(a.DataSize)
-		emit(a.TreeProfile)
-		emit(a.Recovery)
-	}
-	if has("headline") {
-		lu, slm := set.Results[horus.BaseLU], set.Results[horus.HorusSLM]
-		h := horus.Headline{
-			MemReduction:  float64(lu.TotalMemAccesses()) / float64(slm.TotalMemAccesses()),
-			MACReduction:  float64(lu.TotalMACs()) / float64(slm.TotalMACs()),
-			TimeReduction: float64(lu.DrainTime) / float64(slm.DrainTime),
+		for _, t := range a {
+			emit(t)
 		}
-		emit(h.Table())
 	}
+	view("headline", func() *report.Table { return horus.NewHeadline(set).Table() })
 	if mf.Enabled() {
 		emit(report.SpanTree(cfg.Metrics))
 		if err := mf.Write(cfg.Metrics); err != nil {
@@ -225,15 +203,6 @@ func slug(s string) string {
 		}
 	}
 	return strings.Trim(strings.ReplaceAll(b.String(), "--", "-"), "-")
-}
-
-// subset narrows a drain set to the given schemes (they were all run).
-func subset(set *horus.DrainSet, schemes []horus.Scheme) *horus.DrainSet {
-	out := &horus.DrainSet{Config: set.Config, Schemes: schemes, Results: map[horus.Scheme]horus.Result{}}
-	for _, s := range schemes {
-		out.Results[s] = set.Results[s]
-	}
-	return out
 }
 
 func fatal(err error) {

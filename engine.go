@@ -191,16 +191,3 @@ func runPointEpisode(ctx context.Context, pt DrainPoint, env sweep.Env) (pointVa
 	val.rec = &rec
 	return val, nil
 }
-
-// runEpisodes routes ad-hoc episodes (the ablation studies that need more
-// than the canonical drain body) through the same engine and options.
-func runEpisodes(ctx context.Context, cfg Config, opts SweepOptions, eps []Episode) ([]EpisodeResult, error) {
-	runner := sweep.New(sweep.Options{
-		Parallel: opts.Parallel,
-		Timeout:  opts.Timeout,
-		BaseSeed: cfg.Seed,
-		Metrics:  cfg.Metrics,
-		Progress: opts.Progress,
-	})
-	return runner.Run(ctx, eps)
-}

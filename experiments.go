@@ -10,8 +10,8 @@ import (
 	"repro/internal/sim"
 )
 
-// DrainSet holds one drain result per scheme over the same configuration,
-// the shared substrate for Figs. 6, 11, 12, 13 and Tables II, III.
+// DrainSet holds one drain result per scheme over the same configuration;
+// Figs. 6, 11, 12, 13, Tables II, III and the headline are views of it.
 type DrainSet struct {
 	Config  Config
 	Schemes []Scheme
@@ -69,28 +69,13 @@ func RunDrainSetCtx(ctx context.Context, cfg Config, schemes []Scheme, opts Swee
 // Fig. 6 — memory-request breakdown for flushing the cache hierarchy
 // (motivation: 10.3x / 9.5x blow-up of the secure baselines).
 
-// Fig6 reports the motivation experiment.
+// Fig6 reports the motivation experiment over a set holding Fig6Schemes.
 type Fig6 struct {
-	Blocks int
-	Set    *DrainSet
+	Set *DrainSet
 }
 
 // Fig6Schemes are the designs Fig. 6 compares.
 func Fig6Schemes() []Scheme { return []Scheme{NonSecure, BaseEU, BaseLU} }
-
-// RunFig6 regenerates Fig. 6.
-func RunFig6(cfg Config) (Fig6, error) {
-	return RunFig6Ctx(context.Background(), cfg, SweepOptions{})
-}
-
-// RunFig6Ctx regenerates Fig. 6 through the episode engine.
-func RunFig6Ctx(ctx context.Context, cfg Config, opts SweepOptions) (Fig6, error) {
-	ds, err := RunDrainSetCtx(ctx, cfg, Fig6Schemes(), opts)
-	if err != nil {
-		return Fig6{}, err
-	}
-	return Fig6{Blocks: ds.Results[NonSecure].BlocksDrained, Set: ds}, nil
-}
 
 // Ratio returns a scheme's total memory requests normalized to NonSecure.
 // It panics with a descriptive message if the set lacks either scheme.
@@ -101,12 +86,13 @@ func (f Fig6) Ratio(s Scheme) float64 {
 
 // Table renders the figure as a breakdown table.
 func (f Fig6) Table() *report.Table {
+	blocks := f.Set.mustResult(NonSecure).BlocksDrained
 	t := &report.Table{
-		Title:  fmt.Sprintf("Fig. 6: memory requests to flush the cache hierarchy (%s blocks)", report.Count(int64(f.Blocks))),
+		Title:  fmt.Sprintf("Fig. 6: memory requests to flush the cache hierarchy (%s blocks)", report.Count(int64(blocks))),
 		Header: []string{"scheme", "reads", "writes", "total", "vs non-secure"},
 	}
-	for _, s := range f.Set.Schemes {
-		r := f.Set.Results[s]
+	for _, s := range Fig6Schemes() {
+		r := f.Set.mustResult(s)
 		t.AddRow(s.String(),
 			report.Count(r.MemReads.Total()),
 			report.Count(r.MemWrites.Total()),
@@ -123,20 +109,6 @@ func (f Fig6) Table() *report.Table {
 // Fig11 reports the draining-time comparison across all five designs.
 type Fig11 struct {
 	Set *DrainSet
-}
-
-// RunFig11 regenerates Fig. 11.
-func RunFig11(cfg Config) (Fig11, error) {
-	return RunFig11Ctx(context.Background(), cfg, SweepOptions{})
-}
-
-// RunFig11Ctx regenerates Fig. 11 through the episode engine.
-func RunFig11Ctx(ctx context.Context, cfg Config, opts SweepOptions) (Fig11, error) {
-	ds, err := RunDrainSetCtx(ctx, cfg, AllSchemes(), opts)
-	if err != nil {
-		return Fig11{}, err
-	}
-	return Fig11{Set: ds}, nil
 }
 
 // Normalized returns a scheme's draining time normalized to NonSecure.
@@ -174,38 +146,11 @@ type Fig12 struct {
 	Set *DrainSet
 }
 
-// RunFig12 regenerates Fig. 12.
-func RunFig12(cfg Config) (Fig12, error) {
-	return RunFig12Ctx(context.Background(), cfg, SweepOptions{})
-}
-
-// RunFig12Ctx regenerates Fig. 12 through the episode engine.
-func RunFig12Ctx(ctx context.Context, cfg Config, opts SweepOptions) (Fig12, error) {
-	ds, err := RunDrainSetCtx(ctx, cfg, AllSchemes(), opts)
-	if err != nil {
-		return Fig12{}, err
-	}
-	return Fig12{Set: ds}, nil
-}
-
 // Table renders the figure: one column per write category.
 func (f Fig12) Table() *report.Table {
-	cats := collectCategories(f.Set, func(r Result) []string { return r.MemWrites.Names() })
-	t := &report.Table{
-		Title:  "Fig. 12: breakdown of memory writes",
-		Header: append([]string{"scheme"}, append(cats, "total")...),
-	}
-	for _, s := range f.Set.Schemes {
-		r := f.Set.Results[s]
-		row := []string{s.String()}
-		for _, c := range cats {
-			row = append(row, report.Count(r.MemWrites.Get(c)))
-		}
-		row = append(row, report.Count(r.MemWrites.Total()))
-		t.AddRow(row...)
-	}
-	t.AddNote("paper: Horus-DLM writes 8x fewer CHV MAC blocks than Horus-SLM; metadata flush is negligible for all schemes")
-	return t
+	return breakdownTable(f.Set, "Fig. 12: breakdown of memory writes",
+		"paper: Horus-DLM writes 8x fewer CHV MAC blocks than Horus-SLM; metadata flush is negligible for all schemes",
+		func(r Result) *sim.CounterSet { return r.MemWrites })
 }
 
 // ---------------------------------------------------------------------------
@@ -216,52 +161,38 @@ type Fig13 struct {
 	Set *DrainSet
 }
 
-// RunFig13 regenerates Fig. 13.
-func RunFig13(cfg Config) (Fig13, error) {
-	return RunFig13Ctx(context.Background(), cfg, SweepOptions{})
-}
-
-// RunFig13Ctx regenerates Fig. 13 through the episode engine.
-func RunFig13Ctx(ctx context.Context, cfg Config, opts SweepOptions) (Fig13, error) {
-	ds, err := RunDrainSetCtx(ctx, cfg, AllSchemes(), opts)
-	if err != nil {
-		return Fig13{}, err
-	}
-	return Fig13{Set: ds}, nil
-}
-
-// Table renders the figure.
+// Table renders the figure: one column per MAC category.
 func (f Fig13) Table() *report.Table {
-	cats := collectCategories(f.Set, func(r Result) []string { return r.MACCalcs.Names() })
-	t := &report.Table{
-		Title:  "Fig. 13: breakdown of MAC calculations",
-		Header: append([]string{"scheme"}, append(cats, "total")...),
-	}
-	for _, s := range f.Set.Schemes {
-		r := f.Set.Results[s]
-		row := []string{s.String()}
-		for _, c := range cats {
-			row = append(row, report.Count(r.MACCalcs.Get(c)))
-		}
-		row = append(row, report.Count(r.TotalMACs()))
-		t.AddRow(row...)
-	}
-	t.AddNote("paper: Base-EU largest (tree updates); Horus-DLM = 1.125x Horus-SLM")
-	return t
+	return breakdownTable(f.Set, "Fig. 13: breakdown of MAC calculations",
+		"paper: Base-EU largest (tree updates); Horus-DLM = 1.125x Horus-SLM",
+		func(r Result) *sim.CounterSet { return r.MACCalcs })
 }
 
-func collectCategories(ds *DrainSet, get func(Result) []string) []string {
+// breakdownTable renders one row per scheme of the set: one column per
+// category of counts, in first-seen order across the schemes, and the
+// total.
+func breakdownTable(ds *DrainSet, title, note string, counts func(Result) *sim.CounterSet) *report.Table {
 	var cats []string
 	seen := map[string]bool{}
 	for _, s := range ds.Schemes {
-		for _, c := range get(ds.Results[s]) {
+		for _, c := range counts(ds.Results[s]).Names() {
 			if !seen[c] {
 				seen[c] = true
 				cats = append(cats, c)
 			}
 		}
 	}
-	return cats
+	t := &report.Table{Title: title, Header: append([]string{"scheme"}, append(cats, "total")...)}
+	for _, s := range ds.Schemes {
+		cs := counts(ds.Results[s])
+		row := []string{s.String()}
+		for _, c := range cats {
+			row = append(row, report.Count(cs.Get(c)))
+		}
+		t.AddRow(append(row, report.Count(cs.Total()))...)
+	}
+	t.AddNote("%s", note)
+	return t
 }
 
 // ---------------------------------------------------------------------------
@@ -283,14 +214,9 @@ type LLCSweep struct {
 // Fig14LLCSizes returns the paper's sweep sizes.
 func Fig14LLCSizes() []int { return []int{8 << 20, 16 << 20, 32 << 20} }
 
-// RunLLCSweep drains every scheme at each LLC size.
-func RunLLCSweep(cfg Config, llcSizes []int, schemes []Scheme) (*LLCSweep, error) {
-	return RunLLCSweepCtx(context.Background(), cfg, llcSizes, schemes, SweepOptions{})
-}
-
-// RunLLCSweepCtx is RunLLCSweep as a declarative (size × scheme) point grid
-// over the episode engine. On failure the returned sweep holds every point
-// that completed, alongside a *SweepError describing the ones that did not.
+// RunLLCSweepCtx drains every scheme at each LLC size as a (size × scheme)
+// point grid over the episode engine. On failure the returned sweep holds
+// every point that completed, alongside a *SweepError for the others.
 func RunLLCSweepCtx(ctx context.Context, cfg Config, llcSizes []int, schemes []Scheme, opts SweepOptions) (*LLCSweep, error) {
 	var points []DrainPoint
 	for _, size := range llcSizes {
@@ -397,14 +323,9 @@ type Fig16 struct {
 // Fig16LLCSizes returns the paper's sweep (8 MB to 128 MB).
 func Fig16LLCSizes() []int { return []int{8 << 20, 16 << 20, 32 << 20, 64 << 20, 128 << 20} }
 
-// RunFig16 drains and recovers Horus-SLM and Horus-DLM at each LLC size.
-func RunFig16(cfg Config, llcSizes []int) (Fig16, error) {
-	return RunFig16Ctx(context.Background(), cfg, llcSizes, SweepOptions{})
-}
-
-// RunFig16Ctx is RunFig16 as a (size × scheme) grid of drain + crash +
-// recover episodes over the engine. Completed points survive a sibling's
-// failure.
+// RunFig16Ctx drains and recovers Horus-SLM and Horus-DLM at each LLC size
+// as a (size × scheme) grid of drain + crash + recover episodes over the
+// engine. Completed points survive a sibling's failure.
 func RunFig16Ctx(ctx context.Context, cfg Config, llcSizes []int, opts SweepOptions) (Fig16, error) {
 	var points []DrainPoint
 	for _, size := range llcSizes {
@@ -455,34 +376,20 @@ func (f Fig16) Table() *report.Table {
 // ---------------------------------------------------------------------------
 // Tables II & III — energy and battery size.
 
-// EnergyBreakdown is one Table II row set (re-exported for CLI/users).
+// EnergyBreakdown is one Table II column (re-exported for API users).
 type EnergyBreakdown = energy.Breakdown
 
 // Table2Schemes are the secure designs Table II compares.
 func Table2Schemes() []Scheme { return []Scheme{BaseLU, BaseEU, HorusSLM, HorusDLM} }
 
-// Table2 reports draining energy per scheme.
+// Table2 reports draining energy over a set holding Table2Schemes.
 type Table2 struct {
-	Set       *DrainSet
-	Breakdown map[Scheme]energy.Breakdown
+	Set *DrainSet
 }
 
-// RunTable2 regenerates Table II.
-func RunTable2(cfg Config) (Table2, error) {
-	return RunTable2Ctx(context.Background(), cfg, SweepOptions{})
-}
-
-// RunTable2Ctx regenerates Table II through the episode engine.
-func RunTable2Ctx(ctx context.Context, cfg Config, opts SweepOptions) (Table2, error) {
-	ds, err := RunDrainSetCtx(ctx, cfg, Table2Schemes(), opts)
-	if err != nil {
-		return Table2{}, err
-	}
-	t2 := Table2{Set: ds, Breakdown: make(map[Scheme]energy.Breakdown)}
-	for _, s := range ds.Schemes {
-		t2.Breakdown[s] = cfg.EnergyOf(ds.Results[s])
-	}
-	return t2, nil
+// Breakdown returns a scheme's draining energy under the set's energy model.
+func (t2 Table2) Breakdown(s Scheme) EnergyBreakdown {
+	return t2.Set.Config.EnergyOf(t2.Set.mustResult(s))
 }
 
 // Table renders Table II.
@@ -494,7 +401,7 @@ func (t2 Table2) Table() *report.Table {
 	row := func(name string, get func(energy.Breakdown) float64) {
 		cells := []string{name}
 		for _, s := range Table2Schemes() {
-			cells = append(cells, report.Joules(get(t2.Breakdown[s])))
+			cells = append(cells, report.Joules(get(t2.Breakdown(s))))
 		}
 		t.AddRow(cells...)
 	}
@@ -506,28 +413,13 @@ func (t2 Table2) Table() *report.Table {
 	return t
 }
 
-// Table3 reports battery volume per scheme and technology.
-type Table3 struct {
-	T2 Table2
-}
-
-// RunTable3 regenerates Table III from a Table II run.
-func RunTable3(cfg Config) (Table3, error) {
-	return RunTable3Ctx(context.Background(), cfg, SweepOptions{})
-}
-
-// RunTable3Ctx regenerates Table III through the episode engine.
-func RunTable3Ctx(ctx context.Context, cfg Config, opts SweepOptions) (Table3, error) {
-	t2, err := RunTable2Ctx(ctx, cfg, opts)
-	if err != nil {
-		return Table3{}, err
-	}
-	return Table3{T2: t2}, nil
-}
+// Table3 reports battery volume per scheme and technology over the
+// Table II drain set.
+type Table3 Table2
 
 // Volume returns the battery volume for a scheme and technology.
 func (t3 Table3) Volume(s Scheme, tech energy.Tech) float64 {
-	return energy.Volume(t3.T2.Breakdown[s].Total(), tech)
+	return energy.Volume(Table2(t3).Breakdown(s).Total(), tech)
 }
 
 // Table renders Table III.
@@ -557,23 +449,15 @@ type Headline struct {
 	TimeReduction float64 // Base-LU drain time / Horus-SLM drain time (paper: ~5x)
 }
 
-// RunHeadline computes the abstract's three claims.
-func RunHeadline(cfg Config) (Headline, error) {
-	return RunHeadlineCtx(context.Background(), cfg, SweepOptions{})
-}
-
-// RunHeadlineCtx computes the abstract's claims through the episode engine.
-func RunHeadlineCtx(ctx context.Context, cfg Config, opts SweepOptions) (Headline, error) {
-	ds, err := RunDrainSetCtx(ctx, cfg, []Scheme{BaseLU, HorusSLM}, opts)
-	if err != nil {
-		return Headline{}, err
-	}
-	lu, slm := ds.Results[BaseLU], ds.Results[HorusSLM]
+// NewHeadline computes the abstract's three claims from a drain set holding
+// Base-LU and Horus-SLM.
+func NewHeadline(ds *DrainSet) Headline {
+	lu, slm := ds.mustResult(BaseLU), ds.mustResult(HorusSLM)
 	return Headline{
 		MemReduction:  float64(lu.TotalMemAccesses()) / float64(slm.TotalMemAccesses()),
 		MACReduction:  float64(lu.TotalMACs()) / float64(slm.TotalMACs()),
 		TimeReduction: float64(lu.DrainTime) / float64(slm.DrainTime),
-	}, nil
+	}
 }
 
 // Table renders the headline comparison.
@@ -589,7 +473,7 @@ func (h Headline) Table() *report.Table {
 }
 
 // ---------------------------------------------------------------------------
-// Recovery helper used by Fig. 16 above and by RunRecovery.
+// Recovery round trip.
 
 // RunRecovery is the one-shot drain + crash + recover round trip: a
 // single-point grid over the episode engine.

@@ -18,9 +18,10 @@
 //	...
 //	rec, err := sys.Recover(res.Persist)  // power restore: verified recovery
 //
-// The experiment runners (RunFig6 ... RunTable3) regenerate every figure
-// and table of the paper's evaluation; see EXPERIMENTS.md for measured
-// results against the published ones.
+// The figure and table views of one RunDrainSet (Fig6 ... Table3,
+// NewHeadline), RunLLCSweepCtx, RunFig16Ctx and RunAblations regenerate
+// the paper's evaluation; see EXPERIMENTS.md for measured results against
+// the published ones.
 package horus
 
 import (
@@ -51,7 +52,7 @@ type MetricsRegistry = obs.Registry
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
 // Episode engine re-exports (from the internal sweep package). Experiment
-// grids (RunDrainSet, RunLLCSweep, the figure runners) route through this
+// grids (RunDrainSet, RunLLCSweepCtx, RunAblations) route through this
 // engine; the generic forms below let API users run their own episode
 // grids with the same worker pool, cancellation, seeding and metrics-merge
 // semantics. See DESIGN.md §8.
@@ -382,7 +383,7 @@ func (s *System) Drain() (Result, error) {
 	if s.Config.FlushShuffle {
 		return s.drainer.Drain(s.Hierarchy.DirtyBlocksShuffled(rand.New(rand.NewSource(s.Config.Seed ^ 0x0f1a))))
 	}
-	return s.drainer.Drain(s.Hierarchy.DirtyBlocks())
+	return s.drainer.Drain(s.Hierarchy.DirtyView())
 }
 
 // Crash models the loss of power after a drain: cache hierarchy and
@@ -470,12 +471,19 @@ func (s *System) recoverFrom(ps PersistentState) (RecoveryReport, error) {
 
 // RunDrain is the one-shot convenience: build, warm up, fill, drain.
 func RunDrain(cfg Config, scheme Scheme) (Result, error) {
+	_, res, err := drainedSystem(cfg, scheme)
+	return res, err
+}
+
+// drainedSystem builds, warms, fills and drains one machine.
+func drainedSystem(cfg Config, scheme Scheme) (*System, Result, error) {
 	sys := NewSystem(cfg, scheme)
 	if err := sys.Warmup(); err != nil {
-		return Result{}, err
+		return nil, Result{}, err
 	}
 	sys.Fill()
-	return sys.Drain()
+	res, err := sys.Drain()
+	return sys, res, err
 }
 
 // EnergyOf applies the configured energy model to a drain result

@@ -1,6 +1,7 @@
 package horus
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -210,10 +211,7 @@ func TestNonSecureRecoveryIsNoOp(t *testing.T) {
 
 func TestShapeAtTestScale(t *testing.T) {
 	// The paper's qualitative ordering must hold even at test scale.
-	ds, err := RunDrainSet(TestConfig(), AllSchemes())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds := testDrainSet(t)
 	ns, lu, eu := ds.Results[NonSecure], ds.Results[BaseLU], ds.Results[BaseEU]
 	slm, dlm := ds.Results[HorusSLM], ds.Results[HorusDLM]
 
@@ -235,12 +233,20 @@ func TestShapeAtTestScale(t *testing.T) {
 	}
 }
 
-func TestExperimentTablesRender(t *testing.T) {
-	cfg := TestConfig()
-	f6, err := RunFig6(cfg)
+// testDrainSet drains every scheme once at TestConfig: the one set every
+// figure and table view below is rendered from.
+func testDrainSet(t *testing.T) *DrainSet {
+	t.Helper()
+	set, err := RunDrainSet(TestConfig(), AllSchemes())
 	if err != nil {
 		t.Fatal(err)
 	}
+	return set
+}
+
+func TestExperimentTablesRender(t *testing.T) {
+	set := testDrainSet(t)
+	f6 := Fig6{Set: set}
 	if out := f6.Table().String(); !strings.Contains(out, "Base-LU") {
 		t.Error("Fig6 table missing rows")
 	}
@@ -248,10 +254,7 @@ func TestExperimentTablesRender(t *testing.T) {
 		t.Error("Fig6 ratios inverted")
 	}
 
-	f11, err := RunFig11(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f11 := Fig11{Set: set}
 	if f11.VsHorus(BaseLU) <= 1 {
 		t.Error("Fig11: Base-LU must be slower than Horus")
 	}
@@ -262,19 +265,10 @@ func TestExperimentTablesRender(t *testing.T) {
 	}
 	_ = f11.Table().String()
 
-	f12, err := RunFig12(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out := f12.Table().String(); !strings.Contains(out, "chv-data") {
+	if out := (Fig12{Set: set}).Table().String(); !strings.Contains(out, "chv-data") {
 		t.Error("Fig12 table missing CHV category")
 	}
-
-	f13, err := RunFig13(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out := f13.Table().String(); !strings.Contains(out, "chv-data-mac") {
+	if out := (Fig13{Set: set}).Table().String(); !strings.Contains(out, "chv-data-mac") {
 		t.Error("Fig13 table missing CHV MAC category")
 	}
 }
@@ -311,7 +305,7 @@ func TestLLCSweepAndFig16TestScale(t *testing.T) {
 	_ = sweep.Fig14Table().String()
 	_ = sweep.Fig15Table().String()
 
-	f16, err := RunFig16(cfg, nil)
+	f16, err := RunFig16Ctx(context.Background(), cfg, nil, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,13 +323,10 @@ func TestFig16DefaultSizes(t *testing.T) {
 }
 
 func TestTables2And3TestScale(t *testing.T) {
-	cfg := TestConfig()
-	t3, err := RunTable3(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	set := testDrainSet(t)
+	t2, t3 := Table2{Set: set}, Table3{Set: set}
 	// Energy ordering: baselines cost more than Horus.
-	if t3.T2.Breakdown[BaseLU].Total() <= t3.T2.Breakdown[HorusSLM].Total() {
+	if t2.Breakdown(BaseLU).Total() <= t2.Breakdown(HorusSLM).Total() {
 		t.Error("Base-LU energy must exceed Horus-SLM")
 	}
 	// Battery volumes scale with energy and density.
@@ -348,14 +339,11 @@ func TestTables2And3TestScale(t *testing.T) {
 		t.Error("Li-thin must be smaller than SuperCap")
 	}
 	_ = t3.Table().String()
-	_ = t3.T2.Table().String()
+	_ = t2.Table().String()
 }
 
 func TestHeadlineTestScale(t *testing.T) {
-	h, err := RunHeadline(TestConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := NewHeadline(testDrainSet(t))
 	if h.MemReduction < 3 || h.MACReduction < 3 || h.TimeReduction < 2 {
 		t.Errorf("headline reductions too small: %+v", h)
 	}

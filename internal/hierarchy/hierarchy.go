@@ -13,7 +13,7 @@
 // draining study depends only on which blocks are dirty when the crash
 // hits, and platform sizing assumes all of them are. The contents are one
 // dense slice in insertion order, written once by a fill or a recovery
-// refill and copied out for each drain.
+// refill and read in place by each drain (DirtyView).
 package hierarchy
 
 import (
@@ -169,6 +169,12 @@ func distinctAligned(blocks []DirtyBlock) bool {
 	}
 	return true
 }
+
+// DirtyView returns the dirty blocks in insertion order without copying
+// them: the slice is the hierarchy's own storage, so the caller must not
+// write into it, and it is valid until the next Write, Refill, Clear or
+// fill. The capacity is clipped, so an append copies instead of clobbering.
+func (h *Hierarchy) DirtyView() []DirtyBlock { return h.blocks[:len(h.blocks):len(h.blocks)] }
 
 // DirtyBlocks returns a copy of the dirty blocks in insertion order; the
 // caller owns it.

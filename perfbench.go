@@ -30,7 +30,7 @@ func RegisterPerfBenchmarks(s *perfbench.Suite) {
 	// Sweep smoke: the Fig. 6 set through the episode engine with two
 	// workers, exercising the parallel scheduling path end to end.
 	s.Register("sweep/fig6-smoke", func() error {
-		_, err := RunFig6Ctx(context.Background(), TestConfig(), SweepOptions{Parallel: 2})
+		_, err := RunDrainSetCtx(context.Background(), TestConfig(), Fig6Schemes(), SweepOptions{Parallel: 2})
 		return err
 	})
 

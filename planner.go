@@ -47,6 +47,18 @@ const (
 	planChainInflation = 1.25
 )
 
+// horusCounts returns the exact NVM writes and MACs of a Horus drain of n
+// blocks that flushes m metadata lines: n data blocks with one MAC each,
+// an address block per 8, a MAC block per 8 (SLM) or per 64 (DLM, which
+// MACs each 8-block group too), and m vault lines under m + ⌊m/7⌋ + 1 MACs.
+func horusCounts(n, m int64, dlm bool) (writes, macs int64) {
+	groups := (n + 7) / 8
+	if dlm {
+		return n + groups + (n+63)/64 + m, n + groups + m + m/7 + 1
+	}
+	return n + 2*groups + m, n + m + m/7 + 1
+}
+
 // PlanBattery computes the worst-case draining estimate for a scheme under
 // the given configuration.
 func PlanBattery(cfg Config, scheme Scheme) BatteryPlan {
@@ -58,12 +70,8 @@ func PlanBattery(cfg Config, scheme Scheme) BatteryPlan {
 	switch scheme {
 	case NonSecure:
 		p.Writes = n
-	case HorusSLM:
-		p.Writes = n + (n+7)/8 + (n+7)/8 + metaLines
-		p.MACs = n + metaLines + metaLines/7
-	case HorusDLM:
-		p.Writes = n + (n+7)/8 + (n+63)/64 + metaLines
-		p.MACs = n + (n+7)/8 + metaLines + metaLines/7
+	case HorusSLM, HorusDLM:
+		p.Writes, p.MACs = horusCounts(n, metaLines, scheme == HorusDLM)
 	case BaseLU:
 		p.Writes = int64(planLUWritesPerBlock * float64(n))
 		p.Reads = int64(planLUReadsPerBlock * float64(n))
@@ -101,15 +109,10 @@ type PlanValidation struct {
 	ErrorPct float64
 }
 
-// ValidatePlans simulates a draining episode per scheme and compares it to
-// PlanBattery's closed-form estimate.
-func ValidatePlans(cfg Config, schemes []Scheme) ([]PlanValidation, error) {
-	return ValidatePlansCtx(context.Background(), cfg, schemes, SweepOptions{})
-}
-
-// ValidatePlansCtx is ValidatePlans through the episode engine: one grid
-// point per scheme, run on the engine's worker pool. On failure it returns
-// the validations that completed alongside the aggregate error.
+// ValidatePlansCtx simulates a draining episode per scheme and compares it
+// to PlanBattery's closed-form estimate: one grid point per scheme, run on
+// the engine's worker pool. On failure it returns the validations that
+// completed alongside the aggregate error.
 func ValidatePlansCtx(ctx context.Context, cfg Config, schemes []Scheme, opts SweepOptions) ([]PlanValidation, error) {
 	points := make([]DrainPoint, len(schemes))
 	for i, s := range schemes {

@@ -33,6 +33,26 @@ func TestPlannerTracksSimulation(t *testing.T) {
 	}
 }
 
+// TestHorusCountsMatchDrain checks horusCounts against simulated
+// TestConfig drains: given the drained block count and the simulated
+// meta-flush count as m, it must reproduce the drain's NVM writes and MAC
+// calculations exactly (Horus-SLM writes 5152 chv-data + 644 chv-addr +
+// 644 chv-mac + 495 meta-flush, MACs 5152 chv-data-mac + 566 meta-protect).
+func TestHorusCountsMatchDrain(t *testing.T) {
+	for _, scheme := range []Scheme{HorusSLM, HorusDLM} {
+		res, err := RunDrain(TestConfig(), scheme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := res.MemWrites.Get("meta-flush")
+		writes, macs := horusCounts(int64(res.BlocksDrained), m, scheme == HorusDLM)
+		if writes != res.MemWrites.Total() || macs != res.TotalMACs() {
+			t.Errorf("%v: horusCounts(%d, %d) = %d writes, %d MACs; drain wrote [%v] and computed [%v]",
+				scheme, res.BlocksDrained, m, writes, macs, res.MemWrites, res.MACCalcs)
+		}
+	}
+}
+
 func checkWithin(t *testing.T, what string, est, sim, tol float64) {
 	t.Helper()
 	if sim == 0 {

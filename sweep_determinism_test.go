@@ -14,7 +14,7 @@ func renderFig6(t testing.TB, workers int) (string, string) {
 	t.Helper()
 	cfg := TestConfig()
 	cfg.Metrics = NewMetricsRegistry()
-	f6, err := RunFig6Ctx(context.Background(), cfg, SweepOptions{Parallel: workers})
+	set, err := RunDrainSetCtx(context.Background(), cfg, Fig6Schemes(), SweepOptions{Parallel: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +22,7 @@ func renderFig6(t testing.TB, workers int) (string, string) {
 	if err := cfg.Metrics.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
-	return f6.Table().String(), b.String()
+	return Fig6{Set: set}.Table().String(), b.String()
 }
 
 // renderLLCSweep runs the Fig. 14/15 LLC sweep through the engine at the
